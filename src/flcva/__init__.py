@@ -7,7 +7,6 @@ from .automaton import (
     Lexicon,
     NodeAutomaton,
     build_trie,
-    language,
     minimize,
     parse_automaton,
     read_wordlist,

@@ -140,42 +140,32 @@ def build_trie(lexicon: Lexicon) -> NodeAutomaton:
         if w == "":
             raise AutomatonError("empty word is not allowed in a lexicon")
 
-    # Nested dict trie: node -> (children by letter, terminal flag).
-    top: dict = {}
-    top_terminal = False
-    for w in lexicon.words:
-        children = top
-        node = None
-        for ch in w:
-            if ch not in children:
-                children[ch] = [{}, False]
-            node = children[ch]
-            children = node[0]
-        node[1] = True
-
+    # In sorted word order, each word's new prefixes come up in preorder (a
+    # node before its children, siblings by ascending letter), so one pass
+    # numbers the trie nodes without recursion.
     labels: list = [None]
-    succs: list = [None]
-
-    def emit(node_id: int, children: dict, terminal: bool) -> None:
-        lst: list[int] = []
-        for letter in sorted(children):
+    succs: list = [[]]
+    terminal: list[int] = []
+    path = [0]  # node ids of the previous word's prefixes
+    prev = ""
+    for w in sorted(set(lexicon.words)):
+        k = 0
+        while k < len(prev) and k < len(w) and prev[k] == w[k]:
+            k += 1
+        del path[k + 1 :]
+        for ch in w[k:]:
             cid = len(labels)
-            labels.append(letter)
-            succs.append(None)
-            lst.append(cid)
-            emit(cid, children[letter][0], children[letter][1])
-        if terminal:
-            lst.append(-1)  # sink placeholder
-        succs[node_id] = lst
-
-    emit(0, top, top_terminal)
+            labels.append(ch)
+            succs.append([])
+            succs[path[-1]].append(cid)
+            path.append(cid)
+        terminal.append(path[-1])
+        prev = w
     sink = len(labels)
     labels.append(None)
     succs.append([])
-    for lst in succs:
-        for i, dst in enumerate(lst):
-            if dst == -1:
-                lst[i] = sink
+    for node in terminal:
+        succs[node].append(sink)  # after every letter arc
     return _finalize(labels, succs, 0, sink, lexicon.word_count)
 
 
@@ -200,48 +190,34 @@ def minimize(trie: NodeAutomaton) -> NodeAutomaton:
     # Rebuild reachable structure with fresh preorder ids, sink last.
     new_id: dict[int, int] = {trie.root: 0}
     labels: list = [None]
-    succ_map: dict[int, list[int]] = {}
-
-    def walk(old: int) -> None:
-        lst: list[int] = []
-        succ_map[new_id[old]] = lst
-        for x in trie.succs[old]:
-            s = rep[x]
-            if s == trie.sink:
-                lst.append(-1)
-            elif s in new_id:
-                lst.append(new_id[s])
-            else:
-                new_id[s] = len(labels)
-                labels.append(trie.labels[s])
-                lst.append(new_id[s])
-                walk(s)
-
-    walk(trie.root)
+    succs: list = [[]]
+    stack = [(trie.root, iter(trie.succs[trie.root]))]
+    while stack:
+        old, it = stack[-1]
+        x = next(it, None)
+        if x is None:
+            stack.pop()
+            continue
+        s = rep[x]
+        lst = succs[new_id[old]]
+        if s == trie.sink:
+            lst.append(-1)
+        elif s in new_id:
+            lst.append(new_id[s])
+        else:
+            new_id[s] = len(labels)
+            labels.append(trie.labels[s])
+            succs.append([])
+            lst.append(new_id[s])
+            stack.append((s, iter(trie.succs[s])))
     sink = len(labels)
     labels.append(None)
-    succs = [succ_map[i] for i in range(sink)]
     succs.append([])
     for lst in succs:
         for i, dst in enumerate(lst):
             if dst == -1:
                 lst[i] = sink
     return _finalize(labels, succs, 0, sink, trie.word_count)
-
-
-def language(automaton: NodeAutomaton) -> list[str]:
-    """All root-to-sink label strings, in canonical DFS completion order."""
-    words: list[str] = []
-
-    def rec(node: int, prefix: str) -> None:
-        for s in automaton.succs[node]:
-            if s == automaton.sink:
-                words.append(prefix)
-            else:
-                rec(s, prefix + automaton.labels[s])
-
-    rec(automaton.root, "")
-    return words
 
 
 def stats(automaton: NodeAutomaton) -> AutomatonStats:
@@ -288,61 +264,89 @@ def serialize_automaton(
     return "\n".join(lines) + "\n"
 
 
+def _int(field: str, what: str) -> int:
+    try:
+        return int(field)
+    except ValueError:
+        raise AutomatonError(f"{what} is not an integer: {field!r}") from None
+
+
+def _node_id(field: str, n: int) -> int:
+    i = _int(field, "node id")
+    if not 0 <= i < n:
+        raise AutomatonError(f"node id {i} outside [0, {n - 1}]")
+    return i
+
+
 def parse_automaton(text: str):
     """Inverse of serialize_automaton.
 
     Returns (automaton, suff, increments); the annotations are None when the
-    file carries the base (unannotated) format.
+    file carries the base (unannotated) format.  Stored annotations are
+    recomputed from the structure and rejected on any mismatch, so a damaged
+    file fails here instead of decoding to a wrong word.
     """
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_VERSION:
         raise AutomatonError("unrecognized automaton format version")
-    header = lines[1].split()
+    header = lines[1].split() if len(lines) > 1 else []
     if len(header) != 6 or header[0] != "NODES" or header[2] != "ARCS" or header[4] != "WORDS":
         raise AutomatonError("malformed automaton header")
-    n, n_arcs, w = int(header[1]), int(header[3]), int(header[5])
+    n, n_arcs, w = (_int(header[k], header[k - 1]) for k in (1, 3, 5))
+    if n < 2 or n_arcs < 0:
+        raise AutomatonError("automaton header needs NODES >= 2 and ARCS >= 0")
+    node_lines = lines[2 : 2 + n]
+    arc_lines = lines[2 + n : 2 + n + n_arcs]
+    if len(node_lines) != n or len(arc_lines) != n_arcs:
+        raise AutomatonError("truncated automaton file")
 
     labels: list = [None] * n
     topo: list = [0] * n
     suff: list = [0] * n
     succs: list = [[] for _ in range(n)]
     incs: list = [[] for _ in range(n)]
-    root = sink = None
+    seen: set[int] = set()
+    roots: list[int] = []
+    sinks: list[int] = []
     annotated = None
-    node_lines = lines[2 : 2 + n]
-    arc_lines = lines[2 + n : 2 + n + n_arcs]
-    if len(node_lines) != n or len(arc_lines) != n_arcs:
-        raise AutomatonError("truncated automaton file")
     for line in node_lines:
         parts = line.split()
-        if parts[0] != "node" or len(parts) not in (4, 5):
+        if len(parts) not in (4, 5) or parts[0] != "node":
             raise AutomatonError(f"malformed node line: {line!r}")
         if annotated is None:
             annotated = len(parts) == 5
         elif annotated != (len(parts) == 5):
             raise AutomatonError("inconsistent node annotations")
-        i = int(parts[1])
+        i = _node_id(parts[1], n)
+        if i in seen:
+            raise AutomatonError(f"duplicate node id {i}")
+        seen.add(i)
         if parts[2] == ROOT_LABEL:
-            root = i
+            roots.append(i)
         elif parts[2] == SINK_LABEL:
-            sink = i
+            sinks.append(i)
         else:
             labels[i] = parts[2]
-        topo[i] = int(parts[3])
+        topo[i] = _int(parts[3], "topological index")
         if annotated:
-            suff[i] = int(parts[4])
-    if root is None or sink is None:
-        raise AutomatonError("automaton file lacks ROOT or SINK node")
+            suff[i] = _int(parts[4], "suff")
+    if len(roots) != 1 or len(sinks) != 1:
+        raise AutomatonError("automaton file needs exactly one ROOT and one SINK node")
+    root, sink = roots[0], sinks[0]
     for line in arc_lines:
         parts = line.split()
-        if parts[0] != "arc" or len(parts) not in (3, 4):
+        if len(parts) not in (3, 4) or parts[0] != "arc":
             raise AutomatonError(f"malformed arc line: {line!r}")
         if annotated != (len(parts) == 4):
             raise AutomatonError("inconsistent arc annotations")
-        src, dst = int(parts[1]), int(parts[2])
+        src, dst = _node_id(parts[1], n), _node_id(parts[2], n)
+        if dst == root or src == sink:
+            raise AutomatonError(f"arc {src} -> {dst} enters ROOT or leaves SINK")
+        if src == root and dst == sink:
+            raise AutomatonError("arc ROOT -> SINK spells the empty word")
         succs[src].append(dst)
         if annotated:
-            incs[src].append(int(parts[3]))
+            incs[src].append(_int(parts[3], "increment"))
     auto = NodeAutomaton(
         labels=tuple(labels),
         succs=tuple(tuple(s) for s in succs),
@@ -354,6 +358,12 @@ def parse_automaton(text: str):
     for src, dst in auto.arcs():
         if auto.topo_index[src] >= auto.topo_index[dst]:
             raise AutomatonError("stored topological index is invalid")
-    if annotated:
-        return auto, tuple(suff), tuple(tuple(i) for i in incs)
-    return auto, None, None
+    if not annotated:
+        return auto, None, None
+    from .pph import annotate_increments, compute_suff  # pph imports this module
+
+    real_suff = compute_suff(auto)
+    real_incs = annotate_increments(auto, real_suff)
+    if tuple(suff) != real_suff or tuple(tuple(i) for i in incs) != real_incs:
+        raise AutomatonError("stored path-index annotations do not match the automaton")
+    return auto, real_suff, real_incs

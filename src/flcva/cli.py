@@ -17,15 +17,13 @@ from .automaton import (
     serialize_automaton,
     stats,
 )
-from .bench import CSV_HEADER, run_bench
+from .bench import CSV_HEADER, generate_sequences, run_bench
 from .decode import VARIANTS, DecodeError, format_result, nbest_improved, nbest_naive
-from .hmm import HmmConfigError, format_observations, make_letter_hmms, parse_config, read_observations, sample_observations
+from .hmm import HmmConfigError, format_observations, make_letter_hmms, parse_config, read_observations
 from .lexhmm import ExpansionError, expand
 from .pph import annotate_increments, compute_suff
 from .synth import synthetic_lexicon
 from .verify import run_verify
-
-import random
 
 
 class InputError(Exception):
@@ -36,8 +34,16 @@ def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_lexicon(path: str):
@@ -58,8 +64,7 @@ def cmd_build(args) -> int:
         auto = minimize(auto)
     suff = compute_suff(auto)
     increments = annotate_increments(auto, suff)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(serialize_automaton(auto, suff, increments))
+    _write(args.out, serialize_automaton(auto, suff, increments))
     st = stats(auto)
     print(
         f"N={st.node_count} arcs={st.arc_count} W={lexicon.word_count} "
@@ -95,14 +100,8 @@ def cmd_decode(args) -> int:
 def cmd_gen(args) -> int:
     lexicon = _load_lexicon(args.wordlist)
     config = _load_config(args.config)
-    rng = random.Random(args.seed)
-    entries = []
-    for _ in range(args.count):
-        word = rng.choice(lexicon.words)
-        obs = sample_observations(word, config, rng.randrange(2**31))
-        entries.append((obs, word))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(format_observations(entries))
+    entries = generate_sequences(lexicon, config, args.count, args.seed)
+    _write(args.out, format_observations(entries))
     return 0
 
 

@@ -10,6 +10,7 @@ path index everywhere, so all variants and the oracle are bit-comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .hmm import NEG_INF
 from .lexhmm import START, LexiconHMM
@@ -55,58 +56,85 @@ def _symbol_index(lexhmm: LexiconHMM, symbol: str) -> int:
         raise DecodeError(f"observation symbol {symbol!r} not in alphabet") from None
 
 
-def _harvest_best(lexhmm: LexiconHMM, score, pph) -> list:
-    best_s = NEG_INF
-    best_p = 0
-    found = False
+def _tokens(n_states: int, start: bool = False) -> tuple[list, list]:
+    """Score and pph arrays for n_states tokens plus a trailing START slot.
+
+    START is -1, so preds entries naming START read the trailing slot and
+    the relaxation needs no special case for it.  The START token scores
+    0.0 before the first frame and -inf afterwards.
+    """
+    scores = [NEG_INF] * (n_states + 1)
+    if start:
+        scores[START] = 0.0
+    return scores, [0] * (n_states + 1)
+
+
+def _step(lexhmm: LexiconHMM, symbol: str, order, src, dst, back=None) -> int:
+    """One frame of max-plus relaxation; returns the predecessor visits.
+
+    For each state j in order, the best source token over preds[j] (score
+    plus log transition, ties to the smaller pph) gets the arc's pph
+    increment and j's emission, and is written to dst; back[j] records the
+    winning predecessor.  src and dst may be the same arrays when order
+    visits every state after all of its successors, so that no token is
+    overwritten before it has been read.
+    A -inf candidate never wins: it is not above the initial -inf, and no
+    pph is below the initial 0, so a dead state keeps pph 0 and START.
+    """
+    si = _symbol_index(lexhmm, symbol)
+    preds = lexhmm.preds
+    emit_rows = lexhmm.emit_rows
+    src_s, src_p = src
+    dst_s, dst_p = dst
+    ops = 0
+    for j in order:
+        best_s = NEG_INF
+        best_p = 0
+        best_i = START
+        ops += len(preds[j])
+        for i, log_a, dpph in preds[j]:
+            cand_s = src_s[i] + log_a
+            if cand_s > best_s or (cand_s == best_s and src_p[i] + dpph < best_p):
+                best_s = cand_s
+                best_p = src_p[i] + dpph
+                best_i = i
+        dst_s[j] = best_s + emit_rows[j][si]
+        dst_p[j] = best_p
+        if back is not None:
+            back[j] = best_i
+    src_s[START] = NEG_INF  # START feeds the first frame only
+    return ops
+
+
+def _harvest_best(lexhmm: LexiconHMM, tokens) -> tuple:
+    """Best (final state, score, pph) after the sink arcs; the state is None
+    when no final state holds a live token."""
+    score, pph = tokens
+    best = (None, NEG_INF, 0)
     for f, log_w, dpph in lexhmm.finals:
-        if score[f] == NEG_INF:
-            continue
-        s = score[f] + log_w
-        p = pph[f] + dpph
-        if not found or _better(s, p, best_s, best_p):
-            best_s, best_p, found = s, p, True
-    if not found:
+        s, p = score[f] + log_w, pph[f] + dpph
+        if _better(s, p, best[1], best[2]):
+            best = (f, s, p)
+    return best
+
+
+def _pph_ranking(lexhmm: LexiconHMM, tokens) -> list:
+    """The best final token as a one-row ranking, its word read from the pph."""
+    f, score, pph = _harvest_best(lexhmm, tokens)
+    if f is None:
         return []
-    word = decode_pph(lexhmm.automaton, lexhmm.suff, best_p)
-    return [(word, best_p, best_s)]
+    return [(decode_pph(lexhmm.automaton, lexhmm.suff, pph), pph, score)]
 
 
 def viterbi_flipflop(lexhmm: LexiconHMM, obs) -> DecodeResult:
     """1-best token passing with two flip-flop arrays (2N token slots)."""
     n_states = lexhmm.n_states
-    preds = lexhmm.preds
-    emit_rows = lexhmm.emit_rows
     res = DecodeResult(token_slots=2 * n_states)
-    prev_s = [NEG_INF] * n_states
-    prev_p = [0] * n_states
-    start_s = 0.0
-    ops = 0
+    src, dst = _tokens(n_states, start=True), _tokens(n_states)
     for symbol in obs:
-        si = _symbol_index(lexhmm, symbol)
-        cur_s = [NEG_INF] * n_states
-        cur_p = [0] * n_states
-        for j in range(n_states):
-            best_s = NEG_INF
-            best_p = 0
-            found = False
-            for i, log_a, dpph in preds[j]:
-                ops += 1
-                s0 = start_s if i == START else prev_s[i]
-                if s0 == NEG_INF or log_a == NEG_INF:
-                    continue
-                cand_s = s0 + log_a
-                cand_p = (0 if i == START else prev_p[i]) + dpph
-                if not found or _better(cand_s, cand_p, best_s, best_p):
-                    best_s, best_p, found = cand_s, cand_p, True
-            if found:
-                cur_s[j] = best_s + emit_rows[j][si]
-                cur_p[j] = best_p
-        prev_s, prev_p = cur_s, cur_p
-        start_s = NEG_INF
-    res.ops = ops
-    if obs:
-        res.ranking = _harvest_best(lexhmm, prev_s, prev_p)
+        res.ops += _step(lexhmm, symbol, range(n_states), src, dst)
+        src, dst = dst, src
+    res.ranking = _pph_ranking(lexhmm, src)
     return res
 
 
@@ -114,39 +142,11 @@ def viterbi_inplace(lexhmm: LexiconHMM, obs) -> DecodeResult:
     """1-best with a single token array (N slots), scanned in reverse
     topological order so each predecessor is read before being overwritten."""
     n_states = lexhmm.n_states
-    preds = lexhmm.preds
-    emit_rows = lexhmm.emit_rows
     res = DecodeResult(token_slots=n_states)
-    score = [NEG_INF] * n_states
-    pph = [0] * n_states
-    start_s = 0.0
-    ops = 0
-    scan = tuple(reversed(lexhmm.decode_order))
+    tokens = _tokens(n_states, start=True)
     for symbol in obs:
-        si = _symbol_index(lexhmm, symbol)
-        for j in scan:
-            best_s = NEG_INF
-            best_p = 0
-            found = False
-            for i, log_a, dpph in preds[j]:
-                ops += 1
-                s0 = start_s if i == START else score[i]
-                if s0 == NEG_INF or log_a == NEG_INF:
-                    continue
-                cand_s = s0 + log_a
-                cand_p = (0 if i == START else pph[i]) + dpph
-                if not found or _better(cand_s, cand_p, best_s, best_p):
-                    best_s, best_p, found = cand_s, cand_p, True
-            if found:
-                score[j] = best_s + emit_rows[j][si]
-                pph[j] = best_p
-            else:
-                score[j] = NEG_INF
-                pph[j] = 0
-        start_s = NEG_INF
-    res.ops = ops
-    if obs:
-        res.ranking = _harvest_best(lexhmm, score, pph)
+        res.ops += _step(lexhmm, symbol, range(n_states - 1, -1, -1), tokens, tokens)
+    res.ranking = _pph_ranking(lexhmm, tokens)
     return res
 
 
@@ -154,69 +154,22 @@ def viterbi_tabular(lexhmm: LexiconHMM, obs) -> DecodeResult:
     """Reference 1-best: full T x N lattice with maximizing predecessors,
     winner recovered by backtracking (N*T token slots)."""
     n_states = lexhmm.n_states
-    preds = lexhmm.preds
-    emit_rows = lexhmm.emit_rows
-    t_len = len(obs)
-    res = DecodeResult(token_slots=n_states * t_len)
-    if t_len == 0:
-        return res
-    lat_s = [[NEG_INF] * n_states for _ in range(t_len)]
-    lat_p = [[0] * n_states for _ in range(t_len)]
-    back = [[START] * n_states for _ in range(t_len)]
-    ops = 0
+    res = DecodeResult(token_slots=n_states * len(obs))
+    # lattice[t] holds the tokens after t frames; lattice[0] is the start.
+    lattice = [_tokens(n_states, start=True)] + [_tokens(n_states) for _ in obs]
+    back = [[START] * n_states for _ in obs]
     for t, symbol in enumerate(obs):
-        si = _symbol_index(lexhmm, symbol)
-        prev_s = lat_s[t - 1] if t > 0 else None
-        prev_p = lat_p[t - 1] if t > 0 else None
-        start_s = 0.0 if t == 0 else NEG_INF
-        for j in range(n_states):
-            best_s = NEG_INF
-            best_p = 0
-            best_i = START
-            found = False
-            for i, log_a, dpph in preds[j]:
-                ops += 1
-                s0 = start_s if i == START else (prev_s[i] if t > 0 else NEG_INF)
-                if s0 == NEG_INF or log_a == NEG_INF:
-                    continue
-                cand_s = s0 + log_a
-                cand_p = (0 if i == START else prev_p[i]) + dpph
-                if not found or _better(cand_s, cand_p, best_s, best_p):
-                    best_s, best_p, best_i, found = cand_s, cand_p, i, True
-            if found:
-                lat_s[t][j] = best_s + emit_rows[j][si]
-                lat_p[t][j] = best_p
-                back[t][j] = best_i
-    res.ops = ops
-
-    best_s = NEG_INF
-    best_p = 0
-    best_f = None
-    for f, log_w, dpph in lexhmm.finals:
-        if lat_s[t_len - 1][f] == NEG_INF:
-            continue
-        s = lat_s[t_len - 1][f] + log_w
-        p = lat_p[t_len - 1][f] + dpph
-        if best_f is None or _better(s, p, best_s, best_p):
-            best_s, best_p, best_f = s, p, f
-    if best_f is None:
+        res.ops += _step(lexhmm, symbol, range(n_states), lattice[t], lattice[t + 1], back[t])
+    j, score, pph = _harvest_best(lexhmm, lattice[-1])
+    if j is None:
         return res
-
-    # Backtrack the state path and spell the word from node changes.
-    states = []
-    j = best_f
-    for t in range(t_len - 1, -1, -1):
-        states.append(j)
-        j = back[t][j]
-    states.reverse()
-    letters = []
-    prev_node = None
-    for state in states:
-        node = lexhmm.state_node[state]
-        if node != prev_node:
-            letters.append(lexhmm.state_letter[state])
-            prev_node = node
-    res.ranking = [("".join(letters), best_p, best_s)]
+    # Backtrack the state path and spell the word from its node visits.
+    nodes = []
+    for row in reversed(back):
+        nodes.append(lexhmm.state_node[j])
+        j = row[j]
+    word = "".join(lexhmm.automaton.labels[node] for node, _ in groupby(reversed(nodes)))
+    res.ranking = [(word, pph, score)]
     return res
 
 

@@ -166,12 +166,13 @@ def parse_config(text: str) -> HmmConfig:
     if "alphabet" not in values:
         raise HmmConfigError("config is missing the alphabet")
     kwargs: dict = {"alphabet": tuple(values["alphabet"])}
-    if "states_per_letter" in values:
-        kwargs["states_per_letter"] = int(values["states_per_letter"])
-    if "self_loop_prob" in values:
-        kwargs["self_loop_prob"] = float(values["self_loop_prob"])
-    if "emission_peak" in values:
-        kwargs["emission_peak"] = float(values["emission_peak"])
+    for key, kind in (("states_per_letter", int), ("self_loop_prob", float),
+                      ("emission_peak", float)):
+        if key in values:
+            try:
+                kwargs[key] = kind(values[key])
+            except ValueError:
+                raise HmmConfigError(f"bad {key} value: {values[key]!r}") from None
     return HmmConfig(**kwargs)
 
 

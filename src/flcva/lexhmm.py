@@ -1,6 +1,6 @@
 """Lexicon-HMM expansion: flatten a node-automaton plus letter models into one
-global state graph with predecessor lists, path-index increments on
-cross-node transitions, and a decode order compatible with topological sort.
+global state graph with predecessor lists and path-index increments on
+cross-node transitions, its states numbered in topological order.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ class ExpansionError(ValueError):
 class LexiconHMM:
     """Flat lexicon HMM; immutable after expansion.
 
-    State indices coincide with decode_order: automaton nodes laid out in
+    States are numbered in topological order: automaton nodes laid out in
     topological order, letter-HMM states left-to-right within each node, so
     every non-self transition goes from a lower to a higher index.
     preds[j] holds (source state or START, log transition, pph increment).
@@ -39,7 +39,6 @@ class LexiconHMM:
     emit_rows: tuple
     symbols: tuple[str, ...]
     finals: tuple
-    decode_order: tuple[int, ...]
     symbol_index: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -150,7 +149,6 @@ def expand(
         emit_rows=tuple(emit_rows),
         symbols=config.alphabet,
         finals=tuple(finals),
-        decode_order=tuple(range(len(state_node))),
     )
 
 

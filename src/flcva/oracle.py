@@ -22,15 +22,16 @@ def enumerate_paths_dfs(automaton: NodeAutomaton) -> list[str]:
     The position of a path in this list is its ground-truth path index.
     """
     words: list[str] = []
-
-    def rec(node: int, prefix: str) -> None:
-        for s in automaton.succs[node]:
-            if s == automaton.sink:
-                words.append(prefix)
-            else:
-                rec(s, prefix + automaton.labels[s])
-
-    rec(automaton.root, "")
+    stack = [(iter(automaton.succs[automaton.root]), "")]
+    while stack:
+        succs, prefix = stack[-1]
+        s = next(succs, None)
+        if s is None:
+            stack.pop()
+        elif s == automaton.sink:
+            words.append(prefix)
+        else:
+            stack.append((iter(automaton.succs[s]), prefix + automaton.labels[s]))
     return words
 
 

@@ -6,7 +6,6 @@ from flcva import (
     AutomatonError,
     Lexicon,
     build_trie,
-    language,
     minimize,
     parse_automaton,
     read_wordlist,
@@ -14,6 +13,7 @@ from flcva import (
     stats,
     topological_index,
 )
+from flcva.oracle import enumerate_paths_dfs
 from flcva.pph import annotate_increments, compute_suff
 from flcva.synth import random_lexicon
 
@@ -37,8 +37,8 @@ def test_single_word_trie():
 
 
 def test_toy_language_round_trip(toy_trie, toy_dawg):
-    assert set(language(toy_trie)) == set(TOY_WORDS)
-    assert language(toy_dawg) == ["ab", "ba", "bb", "bcd", "bc", "c"]
+    assert set(enumerate_paths_dfs(toy_trie)) == set(TOY_WORDS)
+    assert enumerate_paths_dfs(toy_dawg) == ["ab", "ba", "bb", "bcd", "bc", "c"]
 
 
 def test_stats(toy_trie, toy_dawg):
@@ -129,7 +129,7 @@ def test_compaction_on_shared_suffixes():
     trie = build_trie(lex)
     dawg = minimize(trie)
     assert dawg.node_count < trie.node_count
-    assert language(dawg) == language(trie)
+    assert enumerate_paths_dfs(dawg) == enumerate_paths_dfs(trie)
 
 
 @settings(max_examples=40, deadline=None)
@@ -139,7 +139,7 @@ def test_compaction_on_shared_suffixes():
 def test_language_preserved_property(words):
     lex = Lexicon.from_words(words)
     dawg = minimize(build_trie(lex))
-    assert sorted(language(dawg)) == list(lex.words)
+    assert sorted(enumerate_paths_dfs(dawg)) == list(lex.words)
     for src, dst in dawg.arcs():
         assert dawg.topo_index[src] < dawg.topo_index[dst]
 
@@ -154,7 +154,7 @@ def test_serialization_round_trip(toy_dawg):
     auto, suff, inc = parse_automaton(text)
     assert suff is None and inc is None
     assert serialize_automaton(auto) == text
-    assert language(auto) == language(toy_dawg)
+    assert enumerate_paths_dfs(auto) == enumerate_paths_dfs(toy_dawg)
 
 
 def test_annotated_serialization_round_trip(toy_annotated):

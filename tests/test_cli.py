@@ -2,8 +2,12 @@ import math
 
 import pytest
 
+from flcva.automaton import Lexicon
+from flcva.bench import generate_sequences
 from flcva.cli import main
-from flcva.hmm import HmmConfig, format_config, quantize_log
+from flcva.hmm import (
+    HmmConfig, format_config, format_observations, parse_config, quantize_log,
+)
 
 from conftest import TOY_WORDS
 
@@ -203,3 +207,93 @@ def test_bench_without_wordlist_or_synthetic_exits_2(toy_paths, capsys):
     _wordlist, config, _tmp = toy_paths
     assert main(["bench", str(config), "--sequences", "1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_gen_writes_generate_sequences(toy_paths):
+    wordlist, config, tmp = toy_paths
+    out = tmp / "gen.obs"
+    assert main(["gen", str(wordlist), str(config), str(out),
+                 "--count", "7", "--seed", "3"]) == 0
+    sequences = generate_sequences(
+        Lexicon.from_words(TOY_WORDS), parse_config(config.read_text()), 7, 3
+    )
+    assert out.read_text() == format_observations(sequences)
+
+
+def _decode_edited(toy_paths, target, old, new):
+    """Build the toy DAWG, replace old by new in the automaton or config
+    file, and decode `c c c` with it."""
+    wordlist, config, tmp = toy_paths
+    auto = tmp / "dawg.auto"
+    assert main(["build", str(wordlist), str(auto), "--dawg"]) == 0
+    path = auto if target == "auto" else config
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    obs = tmp / "obs.txt"
+    obs.write_text("c c c\n")
+    return main(["decode", str(auto), str(config), str(obs)])
+
+
+def _assert_one_error_line(capsys):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("target, old, new", [
+    # "c" has path index 5: a smaller stored increment used to decode `c c c`
+    # as "bc" with exit code 0, a larger one to raise an uncaught PphError
+    ("auto", "arc 0 7 5", "arc 0 7 4"),
+    ("auto", "arc 0 7 5", "arc 0 7 9"),
+    ("auto", "NODES 9", "NODES x"),
+    ("auto", "ARCS 13", "ARCS 1.5"),
+    ("auto", "WORDS 6", "WORDS six"),
+    ("auto", "WORDS 6", "WORDS 7"),
+    ("auto", "node 1 a", "node one a"),
+    ("auto", "node 1 a", "node 9 a"),
+    ("auto", "node 1 a", "node 2 a"),
+    ("auto", "node 0 ROOT", "node 0 SINK"),
+    ("auto", "arc 7 8 0", "arc 7 12 0"),
+    ("auto", "arc 7 8 0", "arc 7 0 0"),
+    ("auto", "arc 1 2 0", "arc 0 8 0"),
+    ("auto", "arc 1 2 0", "arc 1 2"),
+    ("cfg", "states_per_letter=1", "states_per_letter=x"),
+    ("cfg", "self_loop_prob=0.5", "self_loop_prob=half"),
+])
+def test_bad_input_exits_2_with_one_error_line(toy_paths, capsys, target, old, new):
+    assert _decode_edited(toy_paths, target, old, new) == 2
+    _assert_one_error_line(capsys)
+
+
+def test_build_to_missing_directory_exits_2(toy_paths, capsys):
+    wordlist, _config, tmp = toy_paths
+    out = tmp / "nonexistent" / "x.auto"
+    assert main(["build", str(wordlist), str(out), "--dawg"]) == 2
+    _assert_one_error_line(capsys)
+
+
+def test_undecodable_word_list_exits_2(toy_paths, capsys):
+    wordlist, _config, tmp = toy_paths
+    wordlist.write_bytes(b"ab\n\xff\n")
+    assert main(["build", str(wordlist), str(tmp / "x.auto"), "--dawg"]) == 2
+    _assert_one_error_line(capsys)
+
+
+def test_deep_word_builds_and_decodes(tmp_path, capsys):
+    # 2,000 letters: deeper than the default recursion limit
+    word = "abcd" * 500
+    wordlist = tmp_path / "words.txt"
+    wordlist.write_text(f"{word}\nd{word[1:]}\nab\n")
+    config = tmp_path / "hmm.cfg"
+    config.write_text(format_config(
+        HmmConfig(alphabet=tuple("abcd"), states_per_letter=1,
+                  self_loop_prob=0.5, emission_peak=1.0)
+    ))
+    obs = tmp_path / "obs.txt"
+    obs.write_text(" ".join(word) + "\n")
+    auto = tmp_path / "dawg.auto"
+    assert main(["build", str(wordlist), str(auto), "--dawg"]) == 0
+    assert capsys.readouterr().out.startswith("N=2004 ")
+    assert main(["decode", str(auto), str(config), str(obs)]) == 0
+    # "ab" is a proper prefix of word, so it comes after it in path order
+    assert capsys.readouterr().out.startswith(f"1 {word} 0 ")

@@ -34,6 +34,12 @@ def test_dfs_order_matches_encode_on_random_automata():
             assert encode_word(dawg, inc, word) == rank
 
 
+def test_dfs_order_on_a_word_deeper_than_the_recursion_limit():
+    word = "ab" * 1000
+    dawg = minimize(build_trie(Lexicon.from_words([word, "b", word[:3]])))
+    assert enumerate_paths_dfs(dawg) == [word, "aba", "b"]
+
+
 def test_canonical_word_order_puts_prefix_after_extension():
     assert canonical_word_order(["bc", "bcd", "b"]) == ["bcd", "bc", "b"]
     ranks = word_rank_map(Lexicon.from_words(["ab", "ba", "bb", "bc", "bcd", "c"]))
