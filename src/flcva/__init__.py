@@ -29,7 +29,6 @@ from .hmm import (
     HmmConfig,
     HmmConfigError,
     LetterHMM,
-    emission_logprob,
     make_letter_hmm,
     make_letter_hmms,
     sample_observations,
@@ -40,7 +39,6 @@ from .lexhmm import (
     ExpansionError,
     LexiconHMM,
     decode_stats,
-    dump_states,
     expand,
     word_linear_hmm,
 )

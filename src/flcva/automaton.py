@@ -282,9 +282,11 @@ def parse_automaton(text: str):
     """Inverse of serialize_automaton.
 
     Returns (automaton, suff, increments); the annotations are None when the
-    file carries the base (unannotated) format.  Stored annotations are
-    recomputed from the structure and rejected on any mismatch, so a damaged
-    file fails here instead of decoding to a wrong word.
+    file carries the base (unannotated) format.  Each node's arcs must be in
+    canonical order (letters strictly ascending, then at most one sink arc),
+    or path indices would stop being lexicographic ranks.  Stored annotations
+    are recomputed from the structure and rejected on any mismatch, so a
+    damaged file fails here instead of decoding to a wrong word.
     """
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_VERSION:
@@ -325,8 +327,10 @@ def parse_automaton(text: str):
             roots.append(i)
         elif parts[2] == SINK_LABEL:
             sinks.append(i)
-        else:
+        elif len(parts[2]) == 1:
             labels[i] = parts[2]
+        else:
+            raise AutomatonError(f"node {i} label {parts[2]!r} is not one letter")
         topo[i] = _int(parts[3], "topological index")
         if annotated:
             suff[i] = _int(parts[4], "suff")
@@ -347,6 +351,10 @@ def parse_automaton(text: str):
         succs[src].append(dst)
         if annotated:
             incs[src].append(_int(parts[3], "increment"))
+    for src, lst in enumerate(succs):
+        letters = [labels[dst] for dst in lst if dst != sink]
+        if sink in lst[:-1] or any(a >= b for a, b in zip(letters, letters[1:])):
+            raise AutomatonError(f"arcs of node {src} are not in canonical order")
     auto = NodeAutomaton(
         labels=tuple(labels),
         succs=tuple(tuple(s) for s in succs),

@@ -74,6 +74,10 @@ def cmd_build(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    if args.nbest < 1:
+        raise InputError(f"--nbest must be >= 1, not {args.nbest}")
+    if args.nbest != 1 and args.variant in VARIANTS:
+        raise InputError(f"--nbest {args.nbest} needs an n-best variant, not {args.variant}")
     auto, suff, increments = parse_automaton(_read(args.automaton))
     if suff is None:
         raise InputError(f"{args.automaton} lacks path-index annotations")
@@ -98,6 +102,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.count < 0:
+        raise InputError(f"--count must be >= 0, not {args.count}")
     lexicon = _load_lexicon(args.wordlist)
     config = _load_config(args.config)
     entries = generate_sequences(lexicon, config, args.count, args.seed)

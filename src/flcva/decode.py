@@ -111,8 +111,8 @@ def _harvest_best(lexhmm: LexiconHMM, tokens) -> tuple:
     when no final state holds a live token."""
     score, pph = tokens
     best = (None, NEG_INF, 0)
-    for f, log_w, dpph in lexhmm.finals:
-        s, p = score[f] + log_w, pph[f] + dpph
+    for f, dpph in lexhmm.finals:
+        s, p = score[f], pph[f] + dpph
         if _better(s, p, best[1], best[2]):
             best = (f, s, p)
     return best
@@ -201,9 +201,9 @@ def _merge_token(lst: list, score: float, pph: int, n: int, from_pos: int = 0) -
 
 def _harvest_nbest(lexhmm: LexiconHMM, lists, n: int) -> list:
     merged: list = []
-    for f, log_w, dpph in lexhmm.finals:
+    for f, dpph in lexhmm.finals:
         for s, p in lists[f]:
-            _merge_token(merged, s + log_w, p + dpph, n)
+            _merge_token(merged, s, p + dpph, n)
     return [
         (decode_pph(lexhmm.automaton, lexhmm.suff, p), p, s) for s, p in merged
     ]
@@ -218,17 +218,16 @@ def nbest_naive(lexhmm: LexiconHMM, obs, n: int) -> DecodeResult:
     preds = lexhmm.preds
     emit_rows = lexhmm.emit_rows
     res = DecodeResult(token_slots=2 * n_states * n)
-    prev: list = [[] for _ in range(n_states)]
-    start_list = [(0.0, 0)]
-    for t, symbol in enumerate(obs):
+    # START (-1) reads the trailing list: one token for the first frame only.
+    prev: list = [[] for _ in range(n_states)] + [[(0.0, 0)]]
+    for symbol in obs:
         si = _symbol_index(lexhmm, symbol)
         cur: list = []
         for j in range(n_states):
             lst: list = []
             b = emit_rows[j][si]
             for i, log_a, dpph in preds[j]:
-                src = (start_list if t == 0 else ()) if i == START else prev[i]
-                for s0, p0 in src:
+                for s0, p0 in prev[i]:
                     res.ops += 1
                     res.merges += 1
                     if log_a == NEG_INF:
@@ -239,9 +238,9 @@ def nbest_naive(lexhmm: LexiconHMM, obs, n: int) -> DecodeResult:
                         continue
                     _merge_token(lst, s, p0 + dpph, n)
             cur.append(lst)
+        cur.append([])
         prev = cur
-    if obs:
-        res.ranking = _harvest_nbest(lexhmm, prev, n)
+    res.ranking = _harvest_nbest(lexhmm, prev, n)
     return res
 
 
@@ -255,9 +254,9 @@ def nbest_improved(lexhmm: LexiconHMM, obs, n: int) -> DecodeResult:
     preds = lexhmm.preds
     emit_rows = lexhmm.emit_rows
     res = DecodeResult(token_slots=2 * n_states * n)
-    prev: list = [[] for _ in range(n_states)]
-    start_list = [(0.0, 0)]
-    for t, symbol in enumerate(obs):
+    # START (-1) reads the trailing list: one token for the first frame only.
+    prev: list = [[] for _ in range(n_states)] + [[(0.0, 0)]]
+    for symbol in obs:
         si = _symbol_index(lexhmm, symbol)
         cur: list = []
         for j in range(n_states):
@@ -265,7 +264,7 @@ def nbest_improved(lexhmm: LexiconHMM, obs, n: int) -> DecodeResult:
             for k in range(n):
                 for i, log_a, dpph in preds[j]:
                     res.ops += 1
-                    src = (start_list if t == 0 else ()) if i == START else prev[i]
+                    src = prev[i]
                     if k >= len(src):
                         continue
                     s0, p0 = src[k]
@@ -287,9 +286,9 @@ def nbest_improved(lexhmm: LexiconHMM, obs, n: int) -> DecodeResult:
                 res.emission_adds += len(lst)
                 lst = [(s + b, p) for s, p in lst]
             cur.append(lst)
+        cur.append([])
         prev = cur
-    if obs:
-        res.ranking = _harvest_nbest(lexhmm, prev, n)
+    res.ranking = _harvest_nbest(lexhmm, prev, n)
     return res
 
 

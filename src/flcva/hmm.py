@@ -101,16 +101,6 @@ def make_letter_hmms(letters, config: HmmConfig) -> dict[str, LetterHMM]:
     return {ch: make_letter_hmm(ch, config) for ch in sorted(set(letters))}
 
 
-def emission_logprob(hmm: LetterHMM, state: int, symbol: str) -> float:
-    if not 0 <= state < hmm.n_states:
-        raise HmmConfigError(f"state {state} out of range")
-    try:
-        idx = hmm.symbols.index(symbol)
-    except ValueError:
-        raise HmmConfigError(f"unknown observation symbol {symbol!r}") from None
-    return hmm.log_emissions[state][idx]
-
-
 def sample_observations(word: str, config: HmmConfig, seed: int) -> list[str]:
     """Sample one observation sequence by walking the word's letter chain.
 

@@ -5,12 +5,11 @@ cross-node transitions, its states numbered in topological order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .automaton import NodeAutomaton, build_trie, Lexicon
-from .hmm import NEG_INF, HmmConfig, LetterHMM, quantize_log
+from .hmm import HmmConfig, LetterHMM
 from .pph import annotate_increments, compute_suff
 
 START = -1  # virtual start state, active only at time 0
@@ -28,13 +27,12 @@ class LexiconHMM:
     topological order, letter-HMM states left-to-right within each node, so
     every non-self transition goes from a lower to a higher index.
     preds[j] holds (source state or START, log transition, pph increment).
-    finals holds (exit state, exit log weight, sink-arc pph increment).
+    finals holds (exit state, sink-arc pph increment).
     """
 
     automaton: NodeAutomaton
     suff: tuple[int, ...]
     state_node: tuple[int, ...]
-    state_letter: tuple[str, ...]
     preds: tuple
     emit_rows: tuple
     symbols: tuple[str, ...]
@@ -62,51 +60,26 @@ def expand(
     increments: Sequence[Sequence[int]],
     letter_hmms: dict[str, LetterHMM],
     config: HmmConfig,
-    routing: str = "none",
 ) -> LexiconHMM:
     """Instantiate each emitting automaton node as its letter's HMM states.
 
-    Root and sink are collapsed: root arcs become START-fed entries, sink
-    arcs mark final states.  Cross-node transitions carry the arc's
-    path-index increment; routing="stochastic" adds -log(out-degree) on
-    them, the default adds nothing (pure lexical constraint).
+    Root and sink are collapsed: root arcs become START-fed entries scoring
+    0.0, sink arcs mark final states.  Every transition score is read from
+    the letter models; a cross-node transition scores its source letter's
+    forward step and carries the arc's path-index increment.
     """
     if len(increments) != automaton.node_count:
         raise ExpansionError("automaton is not annotated with increments")
-    if routing not in ("none", "stochastic"):
-        raise ExpansionError(f"unknown routing mode {routing!r}")
     s_per = config.states_per_letter
-    log_self = (
-        quantize_log(math.log(config.self_loop_prob))
-        if config.self_loop_prob > 0
-        else NEG_INF
-    )
-    log_fwd = quantize_log(math.log(1.0 - config.self_loop_prob))
-
-    def route_w(node: int) -> float:
-        if routing == "stochastic":
-            return quantize_log(-math.log(len(automaton.succs[node])))
-        return 0.0
-
     emitting = sorted(
         (n for n in range(automaton.node_count)
          if n not in (automaton.root, automaton.sink)),
         key=lambda n: automaton.topo_index[n],
     )
-    base = {node: i * s_per for i, node in enumerate(emitting)}
-
-    state_node: list[int] = []
-    state_letter: list[str] = []
-    emit_rows: list = []
     for node in emitting:
-        letter = automaton.labels[node]
-        hmm = letter_hmms.get(letter)
-        if hmm is None:
-            raise ExpansionError(f"no letter model for {letter!r}")
-        for k in range(s_per):
-            state_node.append(node)
-            state_letter.append(letter)
-            emit_rows.append(hmm.log_emissions[k])
+        if automaton.labels[node] not in letter_hmms:
+            raise ExpansionError(f"no letter model for {automaton.labels[node]!r}")
+    base = {node: i * s_per for i, node in enumerate(emitting)}
 
     # Incoming cross-node transitions, collected in topological arc order.
     entry_preds: dict[int, list] = {node: [] for node in emitting}
@@ -114,29 +87,38 @@ def expand(
     for x in sorted(range(automaton.node_count), key=lambda n: automaton.topo_index[n]):
         if x == automaton.sink:
             continue
-        cross_w = route_w(x) if x == automaton.root else log_fwd + route_w(x)
-        src_state = START if x == automaton.root else base[x] + s_per - 1
+        if x == automaton.root:
+            src_state, cross_w = START, 0.0
+        else:
+            src_state = base[x] + s_per - 1
+            cross_w = letter_hmms[automaton.labels[x]].log_forward
         for pos, y in enumerate(automaton.succs[x]):
             dpph = increments[x][pos]
             if y == automaton.sink:
-                # harvest weight excludes the forward-release factor: it is
-                # the same constant for every word, and keeping the final
-                # score equal to the token score makes the tie-break order
-                # identical at every comparison point regardless of rounding
-                finals.append((src_state, route_w(x), dpph))
+                # no forward-release score on exit: letter models built from
+                # one config give every word the same one, and keeping the
+                # final score equal to the token score makes the tie-break
+                # order identical at every comparison point regardless of
+                # rounding
+                finals.append((src_state, dpph))
             else:
                 entry_preds[y].append((src_state, cross_w, dpph))
 
+    state_node: list[int] = []
+    emit_rows: list = []
     preds: list = []
     for node in emitting:
+        hmm = letter_hmms[automaton.labels[node]]
         for k in range(s_per):
             j = base[node] + k
+            state_node.append(node)
+            emit_rows.append(hmm.log_emissions[k])
             lst: list = []
             if k == 0:
                 lst.extend(entry_preds[node])
             else:
-                lst.append((j - 1, log_fwd, 0))
-            lst.append((j, log_self, 0))
+                lst.append((j - 1, hmm.log_forward, 0))
+            lst.append((j, hmm.log_self, 0))
             preds.append(tuple(lst))
 
     suff = compute_suff(automaton)
@@ -144,7 +126,6 @@ def expand(
         automaton=automaton,
         suff=suff,
         state_node=tuple(state_node),
-        state_letter=tuple(state_letter),
         preds=tuple(preds),
         emit_rows=tuple(emit_rows),
         symbols=config.alphabet,
@@ -156,26 +137,16 @@ def word_linear_hmm(
     word: str,
     letter_hmms: dict[str, LetterHMM],
     config: HmmConfig,
-    routing: str = "none",
 ) -> LexiconHMM:
     """Lexicon HMM of the single-word lexicon {word}; all increments are 0."""
     if not word:
         raise ExpansionError("word must be non-empty")
     auto = build_trie(Lexicon.from_words([word]))
     increments = annotate_increments(auto, compute_suff(auto))
-    return expand(auto, increments, letter_hmms, config, routing=routing)
+    return expand(auto, increments, letter_hmms, config)
 
 
 def decode_stats(lexhmm: LexiconHMM, obs_len: int) -> DecodeStats:
     n = lexhmm.n_states
     total = sum(len(p) for p in lexhmm.preds)
     return DecodeStats(n_states=n, mean_preds=total / n, obs_len=obs_len)
-
-
-def dump_states(lexhmm: LexiconHMM) -> str:
-    """Debug listing: one state per line (index, node id, letter, pred count)."""
-    lines = [
-        f"{j} {lexhmm.state_node[j]} {lexhmm.state_letter[j]} {len(lexhmm.preds[j])}"
-        for j in range(lexhmm.n_states)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")

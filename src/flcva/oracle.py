@@ -51,11 +51,10 @@ def score_word(
     letter_hmms: dict[str, LetterHMM],
     config: HmmConfig,
     obs,
-    routing: str = "none",
 ) -> float:
     """Best log score of the word's own linear HMM for obs; -inf if the word
     cannot account for the sequence."""
-    lexhmm = word_linear_hmm(word, letter_hmms, config, routing=routing)
+    lexhmm = word_linear_hmm(word, letter_hmms, config)
     result = viterbi_tabular(lexhmm, obs)
     if not result.ranking:
         return NEG_INF
@@ -68,14 +67,13 @@ def nbest_exhaustive(
     config: HmmConfig,
     obs,
     n: int,
-    routing: str = "none",
 ) -> list[tuple[str, int, float]]:
     """Score every word independently; sort by (score desc, path index asc);
     drop impossible words; truncate to n."""
     ranks = word_rank_map(lexicon)
     rows = []
     for word in lexicon.words:
-        s = score_word(word, letter_hmms, config, obs, routing=routing)
+        s = score_word(word, letter_hmms, config, obs)
         if s == NEG_INF:
             continue
         rows.append((word, ranks[word], s))

@@ -14,7 +14,7 @@ from flcva import (
     topological_index,
 )
 from flcva.oracle import enumerate_paths_dfs
-from flcva.pph import annotate_increments, compute_suff
+from flcva.pph import annotate_increments, compute_suff, encode_word
 from flcva.synth import random_lexicon
 
 from conftest import TOY_WORDS
@@ -178,3 +178,51 @@ def test_suff_annotations_required_together(toy_dawg):
     with pytest.raises(AutomatonError):
         serialize_automaton(toy_dawg, suff, None)
     annotate_increments(toy_dawg, suff)  # sanity: computable
+
+
+def _toy_dawg_lines():
+    dawg = minimize(build_trie(Lexicon.from_words(TOY_WORDS)))
+    suff = compute_suff(dawg)
+    return serialize_automaton(dawg, suff, annotate_increments(dawg, suff)).splitlines()
+
+
+TOY_DAWG_LINES = _toy_dawg_lines()
+
+
+@st.composite
+def _mutated_toy_dawg(draw):
+    """The annotated toy DAWG file with one line deleted, duplicated or
+    swapped with another, or one field of a line replaced."""
+    lines = list(TOY_DAWG_LINES)
+    i = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(["delete", "duplicate", "swap", "field"]))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        fields = lines[i].split()
+        k = draw(st.integers(0, len(fields) - 1))
+        fields[k] = draw(st.one_of(
+            st.integers(-1, 14).map(str),
+            st.sampled_from(["a", "b", "c", "d", "ab", "ROOT", "SINK", "arc", "node", ""]),
+        ))
+        lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_toy_dawg())
+def test_mutated_automaton_is_rejected_or_consistent(text):
+    try:
+        auto, suff, inc = parse_automaton(text)
+    except AutomatonError:
+        return
+    assert parse_automaton(serialize_automaton(auto, suff, inc)) == (auto, suff, inc)
+    if inc is None:
+        inc = annotate_increments(auto, compute_suff(auto))
+    for rank, word in enumerate(enumerate_paths_dfs(auto)):
+        assert encode_word(auto, inc, word) == rank

@@ -235,9 +235,12 @@ def _decode_edited(toy_paths, target, old, new):
     return main(["decode", str(auto), str(config), str(obs)])
 
 
-def _assert_one_error_line(capsys):
-    lines = capsys.readouterr().err.splitlines()
+def _assert_one_error_line(capsys) -> str:
+    """Assert stderr is one error line; return what went to stdout."""
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    return captured.out
 
 
 @pytest.mark.parametrize("target, old, new", [
@@ -257,12 +260,35 @@ def _assert_one_error_line(capsys):
     ("auto", "arc 7 8 0", "arc 7 0 0"),
     ("auto", "arc 1 2 0", "arc 0 8 0"),
     ("auto", "arc 1 2 0", "arc 1 2"),
+    # with increments matching the swapped order this loaded, and `b b`
+    # decoded to "bb" with path index 1 instead of its rank 2
+    ("auto", "arc 3 4 0\narc 3 2 1", "arc 3 2 0\narc 3 4 1"),
     ("cfg", "states_per_letter=1", "states_per_letter=x"),
     ("cfg", "self_loop_prob=0.5", "self_loop_prob=half"),
 ])
 def test_bad_input_exits_2_with_one_error_line(toy_paths, capsys, target, old, new):
     assert _decode_edited(toy_paths, target, old, new) == 2
     _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["decode", "{auto}", "{config}", "{obs}", "--variant", "nbest-naive", "--nbest", "0"],
+    ["decode", "{auto}", "{config}", "{obs}", "--variant", "nbest-improved", "--nbest", "-2"],
+    ["decode", "{auto}", "{config}", "{obs}", "--variant", "inplace", "--nbest", "3"],
+    ["decode", "{auto}", "{config}", "{obs}", "--variant", "tabular", "--nbest", "2"],
+    ["decode", "{auto}", "{config}", "{obs}", "--nbest", "0"],
+    ["gen", "{wordlist}", "{config}", "{out}", "--count", "-3"],
+])
+def test_option_that_cannot_work_exits_2(toy_paths, capsys, argv):
+    wordlist, config, tmp = toy_paths
+    auto, obs, out = tmp / "dawg.auto", tmp / "obs.txt", tmp / "gen.obs"
+    assert main(["build", str(wordlist), str(auto), "--dawg"]) == 0
+    obs.write_text("b c d\n")
+    capsys.readouterr()
+    paths = dict(auto=auto, config=config, obs=obs, wordlist=wordlist, out=out)
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert _assert_one_error_line(capsys) == ""  # nothing decoded
+    assert not out.exists()
 
 
 def test_build_to_missing_directory_exits_2(toy_paths, capsys):

@@ -7,7 +7,6 @@ from flcva import (
     NEG_INF,
     HmmConfig,
     HmmConfigError,
-    emission_logprob,
     make_letter_hmm,
     sample_observations,
 )
@@ -36,14 +35,14 @@ def test_single_state_transitions():
 def test_one_hot_emissions():
     cfg = HmmConfig(alphabet=AB, states_per_letter=1, emission_peak=1.0)
     hmm = make_letter_hmm("a", cfg)
-    assert emission_logprob(hmm, 0, "a") == 0.0
-    assert emission_logprob(hmm, 0, "b") == NEG_INF
+    assert hmm.log_emissions[0][cfg.alphabet.index("a")] == 0.0
+    assert hmm.log_emissions[0][cfg.alphabet.index("b")] == NEG_INF
 
 
 def test_off_letter_emission_value():
     cfg = HmmConfig(alphabet=tuple("abcd"), states_per_letter=1, emission_peak=0.8)
     hmm = make_letter_hmm("a", cfg)
-    assert emission_logprob(hmm, 0, "b") == quantize_log(math.log((1 - 0.8) / 3))
+    assert hmm.log_emissions[0][cfg.alphabet.index("b")] == quantize_log(math.log((1 - 0.8) / 3))
 
 
 @pytest.mark.parametrize("peak", [0.25, 0.5, 0.9, 1.0])
@@ -54,15 +53,6 @@ def test_emission_rows_normalized(peak):
         total = sum(math.exp(v) for v in row if v != NEG_INF)
         # normalization holds up to the log-grid rounding of each entry
         assert total == pytest.approx(1.0, abs=1e-9)
-
-
-def test_emission_lookup_errors():
-    cfg = HmmConfig(alphabet=AB, states_per_letter=1)
-    hmm = make_letter_hmm("a", cfg)
-    with pytest.raises(HmmConfigError):
-        emission_logprob(hmm, 0, "z")
-    with pytest.raises(HmmConfigError):
-        emission_logprob(hmm, 5, "a")
 
 
 def test_letter_outside_alphabet_rejected():

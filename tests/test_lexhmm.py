@@ -1,22 +1,16 @@
-import math
-
 import pytest
 
 from flcva import (
     START,
     ExpansionError,
-    HmmConfig,
     Lexicon,
     build_trie,
     decode_stats,
-    dump_states,
     expand,
     make_letter_hmms,
     minimize,
-    viterbi_inplace,
     word_linear_hmm,
 )
-from flcva.hmm import quantize_log
 from flcva.pph import annotate_increments, compute_suff
 
 from conftest import onehot_config
@@ -36,8 +30,7 @@ def test_single_word_chain():
     hmms = make_letter_hmms("a", cfg)
     lexhmm = word_linear_hmm("a", hmms, cfg)
     assert lexhmm.n_states == 3
-    assert len(lexhmm.finals) == 1
-    assert lexhmm.finals[0][0] == 2  # exit state of the chain
+    assert lexhmm.finals == ((2, 0),)  # exit state of the chain, increment 0
 
 
 def test_states_scale_with_config(toy_annotated):
@@ -117,14 +110,6 @@ def test_chain_mean_preds():
     assert decode_stats(lexhmm, 0).mean_preds == pytest.approx(2.0)
 
 
-def test_dump_states(toy_lexhmm_onehot):
-    lexhmm, _cfg, _hmms = toy_lexhmm_onehot
-    lines = dump_states(lexhmm).splitlines()
-    assert len(lines) == 7
-    first = lines[0].split()
-    assert first[0] == "0" and first[2] in "abcd"
-
-
 def test_missing_letter_model_rejected(toy_annotated):
     dawg, _suff, inc = toy_annotated
     cfg = onehot_config()
@@ -140,24 +125,22 @@ def test_unannotated_automaton_rejected(toy_dawg):
         expand(toy_dawg, (), hmms, cfg)
 
 
-def test_stochastic_routing(toy_annotated):
-    dawg, _suff, inc = toy_annotated
-    cfg = onehot_config()
-    hmms = make_letter_hmms("abcd", cfg)
-    lexhmm = expand(dawg, inc, hmms, cfg, routing="stochastic")
-    result = viterbi_inplace(lexhmm, list("bcd"))
-    assert result.ranking[0][0] == "bcd"
-    # START arcs now carry -log(out-degree of root) = -log 3
-    entry_weights = {
-        a for preds in lexhmm.preds for s, a, _dp in preds if s == START
-    }
-    assert entry_weights == {quantize_log(-math.log(3))}
-    with pytest.raises(ExpansionError):
-        expand(dawg, inc, hmms, cfg, routing="bogus")
-
-
 def test_empty_word_rejected():
     cfg = onehot_config()
     hmms = make_letter_hmms("abcd", cfg)
     with pytest.raises(ExpansionError):
         word_linear_hmm("", hmms, cfg)
+
+
+def test_transition_scores_come_from_the_letter_models(toy_annotated):
+    dawg, _suff, inc = toy_annotated
+    hmms = make_letter_hmms("abcd", onehot_config(states=2, self_loop=0.3))
+    lexhmm = expand(dawg, inc, hmms, onehot_config(states=2, self_loop=0.5))
+    log_self, log_forward = hmms["a"].log_self, hmms["a"].log_forward
+    assert log_self != log_forward
+    for j, preds in enumerate(lexhmm.preds):
+        for src, log_a, _dp in preds:
+            if src == START:
+                assert log_a == 0.0
+            else:
+                assert log_a == (log_self if src == j else log_forward)
