@@ -29,11 +29,15 @@ class Lexicon:
 
     @classmethod
     def from_words(cls, words: Iterable[str]) -> "Lexicon":
-        seen: set[str] = set()
-        for w in words:
-            if w == "":
-                raise AutomatonError("empty word is not allowed in a lexicon")
-            seen.add(w)
+        seen = set(words)
+        if "" in seen:
+            raise AutomatonError("empty word is not allowed in a lexicon")
+        # The automaton file is whitespace-delimited; one split of all the
+        # words joined finds any whitespace without a per-word loop.
+        joined = "".join(seen)
+        if seen and joined.split() != [joined]:
+            bad = min(w for w in seen if w.split() != [w])
+            raise AutomatonError(f"word {bad!r} contains whitespace")
         return cls(tuple(sorted(seen)))
 
     @property
@@ -227,18 +231,12 @@ def stats(automaton: NodeAutomaton) -> AutomatonStats:
 
 
 def serialize_automaton(
-    automaton: NodeAutomaton,
-    suff: tuple[int, ...] | None = None,
-    increments: tuple | None = None,
+    automaton: NodeAutomaton, suff: tuple[int, ...], increments: tuple
 ) -> str:
     """Versioned structured-text serialization; byte-exact round trip.
 
-    With suff/increments the node and arc lines carry the path-index
-    annotations (suff per node, delta-PPH per arc).
+    Node lines carry suff, arc lines the delta-PPH increment (see pph.py).
     """
-    annotated = suff is not None
-    if annotated and increments is None:
-        raise AutomatonError("suff and increments must be given together")
     lines = [
         FORMAT_VERSION,
         f"NODES {automaton.node_count} ARCS {automaton.arc_count} "
@@ -251,16 +249,10 @@ def serialize_automaton(
             label = SINK_LABEL
         else:
             label = automaton.labels[i]
-        line = f"node {i} {label} {automaton.topo_index[i]}"
-        if annotated:
-            line += f" {suff[i]}"
-        lines.append(line)
+        lines.append(f"node {i} {label} {automaton.topo_index[i]} {suff[i]}")
     for src in range(automaton.node_count):
-        for pos, dst in enumerate(automaton.succs[src]):
-            line = f"arc {src} {dst}"
-            if annotated:
-                line += f" {increments[src][pos]}"
-            lines.append(line)
+        for dst, inc in zip(automaton.succs[src], increments[src]):
+            lines.append(f"arc {src} {dst} {inc}")
     return "\n".join(lines) + "\n"
 
 
@@ -279,14 +271,16 @@ def _node_id(field: str, n: int) -> int:
 
 
 def parse_automaton(text: str):
-    """Inverse of serialize_automaton.
+    """Inverse of serialize_automaton; returns (automaton, suff, increments).
 
-    Returns (automaton, suff, increments); the annotations are None when the
-    file carries the base (unannotated) format.  Each node's arcs must be in
-    canonical order (letters strictly ascending, then at most one sink arc),
-    or path indices would stop being lexicographic ranks.  Stored annotations
-    are recomputed from the structure and rejected on any mismatch, so a
-    damaged file fails here instead of decoding to a wrong word.
+    The automaton goes through the same constructor as build_trie and
+    minimize, so cycles and nodes unreachable from ROOT are rejected; so is a
+    node that cannot reach SINK.  Each node's arcs must be in canonical order
+    (letters strictly ascending, then at most one sink arc), or path indices
+    would stop being lexicographic ranks.  The stored topological index, suff
+    and increments are recomputed from the structure and rejected on any
+    mismatch, so a damaged file fails here instead of decoding to a wrong
+    word.
     """
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_VERSION:
@@ -310,15 +304,10 @@ def parse_automaton(text: str):
     seen: set[int] = set()
     roots: list[int] = []
     sinks: list[int] = []
-    annotated = None
     for line in node_lines:
         parts = line.split()
-        if len(parts) not in (4, 5) or parts[0] != "node":
+        if len(parts) != 5 or parts[0] != "node":
             raise AutomatonError(f"malformed node line: {line!r}")
-        if annotated is None:
-            annotated = len(parts) == 5
-        elif annotated != (len(parts) == 5):
-            raise AutomatonError("inconsistent node annotations")
         i = _node_id(parts[1], n)
         if i in seen:
             raise AutomatonError(f"duplicate node id {i}")
@@ -332,45 +321,33 @@ def parse_automaton(text: str):
         else:
             raise AutomatonError(f"node {i} label {parts[2]!r} is not one letter")
         topo[i] = _int(parts[3], "topological index")
-        if annotated:
-            suff[i] = _int(parts[4], "suff")
+        suff[i] = _int(parts[4], "suff")
     if len(roots) != 1 or len(sinks) != 1:
         raise AutomatonError("automaton file needs exactly one ROOT and one SINK node")
     root, sink = roots[0], sinks[0]
     for line in arc_lines:
         parts = line.split()
-        if len(parts) not in (3, 4) or parts[0] != "arc":
+        if len(parts) != 4 or parts[0] != "arc":
             raise AutomatonError(f"malformed arc line: {line!r}")
-        if annotated != (len(parts) == 4):
-            raise AutomatonError("inconsistent arc annotations")
         src, dst = _node_id(parts[1], n), _node_id(parts[2], n)
         if dst == root or src == sink:
             raise AutomatonError(f"arc {src} -> {dst} enters ROOT or leaves SINK")
         if src == root and dst == sink:
             raise AutomatonError("arc ROOT -> SINK spells the empty word")
         succs[src].append(dst)
-        if annotated:
-            incs[src].append(_int(parts[3], "increment"))
+        incs[src].append(_int(parts[3], "increment"))
     for src, lst in enumerate(succs):
         letters = [labels[dst] for dst in lst if dst != sink]
         if sink in lst[:-1] or any(a >= b for a, b in zip(letters, letters[1:])):
             raise AutomatonError(f"arcs of node {src} are not in canonical order")
-    auto = NodeAutomaton(
-        labels=tuple(labels),
-        succs=tuple(tuple(s) for s in succs),
-        root=root,
-        sink=sink,
-        topo_index=tuple(topo),
-        word_count=w,
-    )
-    for src, dst in auto.arcs():
-        if auto.topo_index[src] >= auto.topo_index[dst]:
-            raise AutomatonError("stored topological index is invalid")
-    if not annotated:
-        return auto, None, None
+    auto = _finalize(labels, succs, root, sink, w)
+    if auto.topo_index != tuple(topo):
+        raise AutomatonError("stored topological index does not match the automaton")
     from .pph import annotate_increments, compute_suff  # pph imports this module
 
     real_suff = compute_suff(auto)
+    if 0 in real_suff:
+        raise AutomatonError(f"node {real_suff.index(0)} cannot reach SINK")
     real_incs = annotate_increments(auto, real_suff)
     if tuple(suff) != real_suff or tuple(tuple(i) for i in incs) != real_incs:
         raise AutomatonError("stored path-index annotations do not match the automaton")

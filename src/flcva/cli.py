@@ -78,9 +78,7 @@ def cmd_decode(args) -> int:
         raise InputError(f"--nbest must be >= 1, not {args.nbest}")
     if args.nbest != 1 and args.variant in VARIANTS:
         raise InputError(f"--nbest {args.nbest} needs an n-best variant, not {args.variant}")
-    auto, suff, increments = parse_automaton(_read(args.automaton))
-    if suff is None:
-        raise InputError(f"{args.automaton} lacks path-index annotations")
+    auto, _, increments = parse_automaton(_read(args.automaton))
     config = _load_config(args.config)
     letters = {lab for lab in auto.labels if lab is not None}
     letter_hmms = make_letter_hmms(letters, config)

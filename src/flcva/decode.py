@@ -40,7 +40,7 @@ def format_result(result: DecodeResult) -> str:
     ]
     lines.append(
         f"# ops={result.ops} merges={result.merges} "
-        f"token_slots={result.token_slots}"
+        f"token_slots={result.token_slots} emission_adds={result.emission_adds}"
     )
     return "\n".join(lines) + "\n"
 

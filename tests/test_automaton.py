@@ -17,7 +17,7 @@ from flcva.oracle import enumerate_paths_dfs
 from flcva.pph import annotate_increments, compute_suff, encode_word
 from flcva.synth import random_lexicon
 
-from conftest import TOY_WORDS
+from conftest import ISOLATED_NODE_FILE, TOY_WORDS
 
 
 def test_toy_trie_has_ten_nodes(toy_trie):
@@ -149,14 +149,6 @@ def test_read_wordlist_ignores_blank_lines():
     assert lex.words == ("ab", "c")
 
 
-def test_serialization_round_trip(toy_dawg):
-    text = serialize_automaton(toy_dawg)
-    auto, suff, inc = parse_automaton(text)
-    assert suff is None and inc is None
-    assert serialize_automaton(auto) == text
-    assert enumerate_paths_dfs(auto) == enumerate_paths_dfs(toy_dawg)
-
-
 def test_annotated_serialization_round_trip(toy_annotated):
     dawg, suff, inc = toy_annotated
     text = serialize_automaton(dawg, suff, inc)
@@ -164,6 +156,7 @@ def test_annotated_serialization_round_trip(toy_annotated):
     assert serialize_automaton(auto2, suff2, inc2) == text
     assert suff2 == suff
     assert inc2 == inc
+    assert enumerate_paths_dfs(auto2) == enumerate_paths_dfs(dawg)
 
 
 def test_parse_rejects_garbage():
@@ -173,11 +166,32 @@ def test_parse_rejects_garbage():
         parse_automaton("flcva-automaton-v1\nNODES 1 ARCS 0\n")
 
 
-def test_suff_annotations_required_together(toy_dawg):
-    suff = compute_suff(toy_dawg)
+# ROOT -a-> 1 -> SINK, and ROOT -b-> 2, which has no arc out.
+DEAD_END_NODE_FILE = """flcva-automaton-v1
+NODES 4 ARCS 3 WORDS 1
+node 0 ROOT 0 1
+node 1 a 2 1
+node 2 b 1 0
+node 3 SINK 3 1
+arc 0 1 0
+arc 0 2 1
+arc 1 3 0
+"""
+
+
+@pytest.mark.parametrize(
+    "text", [ISOLATED_NODE_FILE, DEAD_END_NODE_FILE], ids=["isolated", "dead-end"]
+)
+def test_parse_rejects_node_off_every_word_path(text):
     with pytest.raises(AutomatonError):
-        serialize_automaton(toy_dawg, suff, None)
-    annotate_increments(toy_dawg, suff)  # sanity: computable
+        parse_automaton(text)
+
+
+def test_word_with_whitespace_rejected():
+    with pytest.raises(AutomatonError, match="whitespace"):
+        read_wordlist("ab\na b\nc\n")
+    with pytest.raises(AutomatonError, match="whitespace"):
+        Lexicon.from_words(["a", " b"])
 
 
 def _toy_dawg_lines():
@@ -222,7 +236,7 @@ def test_mutated_automaton_is_rejected_or_consistent(text):
     except AutomatonError:
         return
     assert parse_automaton(serialize_automaton(auto, suff, inc)) == (auto, suff, inc)
-    if inc is None:
-        inc = annotate_increments(auto, compute_suff(auto))
+    assert topological_index(auto) == auto.topo_index
+    assert 0 not in suff
     for rank, word in enumerate(enumerate_paths_dfs(auto)):
         assert encode_word(auto, inc, word) == rank

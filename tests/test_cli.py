@@ -9,7 +9,7 @@ from flcva.hmm import (
     HmmConfig, format_config, format_observations, parse_config, quantize_log,
 )
 
-from conftest import TOY_WORDS
+from conftest import ISOLATED_NODE_FILE, TOY_WORDS
 
 
 @pytest.fixture
@@ -296,6 +296,27 @@ def test_build_to_missing_directory_exits_2(toy_paths, capsys):
     out = tmp / "nonexistent" / "x.auto"
     assert main(["build", str(wordlist), str(out), "--dawg"]) == 2
     _assert_one_error_line(capsys)
+
+
+def test_node_off_every_word_path_exits_2(toy_paths, capsys):
+    # node 2 lies on no word path; loaded, its decode state would be relaxed
+    # every frame for nothing
+    _wordlist, config, tmp = toy_paths
+    auto, obs = tmp / "isolated.auto", tmp / "obs.txt"
+    auto.write_text(ISOLATED_NODE_FILE)
+    obs.write_text("a a\n")
+    assert main(["decode", str(auto), str(config), str(obs)]) == 2
+    assert _assert_one_error_line(capsys) == ""
+
+
+def test_word_with_whitespace_exits_2(toy_paths, capsys):
+    # the automaton file is whitespace-delimited, so "a b" cannot be stored
+    wordlist, _config, tmp = toy_paths
+    wordlist.write_text("ab\na b\nc\n")
+    out = tmp / "x.auto"
+    assert main(["build", str(wordlist), str(out), "--dawg"]) == 2
+    _assert_one_error_line(capsys)
+    assert not out.exists()
 
 
 def test_undecodable_word_list_exits_2(toy_paths, capsys):

@@ -235,3 +235,8 @@ def test_format_result(toy_lexhmm_onehot):
     assert lines[0].startswith("1 bcd 3 ")
     assert lines[-1].startswith("# ops=")
     assert "token_slots=" in lines[-1]
+    assert lines[-1].endswith(" emission_adds=0")  # counted by n-best only
+    result = nbest_improved(lexhmm, list("bcd"), 2)
+    assert result.emission_adds > 0
+    trailer = format_result(result).splitlines()[-1]
+    assert trailer.endswith(f" emission_adds={result.emission_adds}")
