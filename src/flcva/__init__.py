@@ -3,7 +3,6 @@ minimal-perfect-hash path histories."""
 
 from .automaton import (
     AutomatonError,
-    AutomatonStats,
     Lexicon,
     NodeAutomaton,
     build_trie,
@@ -11,7 +10,6 @@ from .automaton import (
     parse_automaton,
     read_wordlist,
     serialize_automaton,
-    stats,
     topological_index,
 )
 from .decode import (
@@ -35,10 +33,8 @@ from .hmm import (
 )
 from .lexhmm import (
     START,
-    DecodeStats,
     ExpansionError,
     LexiconHMM,
-    decode_stats,
     expand,
     word_linear_hmm,
 )

@@ -1,4 +1,4 @@
-"""Lexicon node-automata: trie construction, DAWG minimization, stats, serialization.
+"""Lexicon node-automata: trie construction, DAWG minimization, serialization.
 
 Nodes carry letter labels; the root and the shared sink are unlabeled and
 structural.  Successor lists are kept in canonical order: letter arcs
@@ -74,13 +74,6 @@ class NodeAutomaton:
         for src, lst in enumerate(self.succs):
             for dst in lst:
                 yield src, dst
-
-
-@dataclass(frozen=True)
-class AutomatonStats:
-    node_count: int
-    arc_count: int
-    mean_degree: float  # arc_count / node_count
 
 
 def read_wordlist(text: str) -> Lexicon:
@@ -222,12 +215,6 @@ def minimize(trie: NodeAutomaton) -> NodeAutomaton:
             if dst == -1:
                 lst[i] = sink
     return _finalize(labels, succs, 0, sink, trie.word_count)
-
-
-def stats(automaton: NodeAutomaton) -> AutomatonStats:
-    n = automaton.node_count
-    a = automaton.arc_count
-    return AutomatonStats(node_count=n, arc_count=a, mean_degree=a / n)
 
 
 def serialize_automaton(

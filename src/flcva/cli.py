@@ -15,10 +15,9 @@ from .automaton import (
     parse_automaton,
     read_wordlist,
     serialize_automaton,
-    stats,
 )
 from .bench import CSV_HEADER, generate_sequences, run_bench
-from .decode import VARIANTS, DecodeError, format_result, nbest_improved, nbest_naive
+from .decode import NBEST_VARIANTS, VARIANTS, DecodeError, format_result
 from .hmm import HmmConfigError, format_observations, make_letter_hmms, parse_config, read_observations
 from .lexhmm import ExpansionError, expand
 from .pph import annotate_increments, compute_suff
@@ -46,6 +45,14 @@ def _write(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+def _at_least(low: int, args, *names: str) -> None:
+    """Reject option values below low, before any input is read."""
+    for name in names:
+        value = getattr(args, name)
+        if value < low:
+            raise InputError(f"--{name.replace('_', '-')} must be >= {low}, not {value}")
+
+
 def _load_lexicon(path: str):
     lexicon = read_wordlist(_read(path))
     if lexicon.word_count == 0:
@@ -65,17 +72,15 @@ def cmd_build(args) -> int:
     suff = compute_suff(auto)
     increments = annotate_increments(auto, suff)
     _write(args.out, serialize_automaton(auto, suff, increments))
-    st = stats(auto)
     print(
-        f"N={st.node_count} arcs={st.arc_count} W={lexicon.word_count} "
-        f"p={st.mean_degree:.6g}"
+        f"N={auto.node_count} arcs={auto.arc_count} W={lexicon.word_count} "
+        f"p={auto.arc_count / auto.node_count:.6g}"
     )
     return 0
 
 
 def cmd_decode(args) -> int:
-    if args.nbest < 1:
-        raise InputError(f"--nbest must be >= 1, not {args.nbest}")
+    _at_least(1, args, "nbest")
     if args.nbest != 1 and args.variant in VARIANTS:
         raise InputError(f"--nbest {args.nbest} needs an n-best variant, not {args.variant}")
     auto, _, increments = parse_automaton(_read(args.automaton))
@@ -88,10 +93,8 @@ def cmd_decode(args) -> int:
         try:
             if args.variant in VARIANTS:
                 result = VARIANTS[args.variant](lexhmm, symbols)
-            elif args.variant == "nbest-naive":
-                result = nbest_naive(lexhmm, symbols, args.nbest)
             else:
-                result = nbest_improved(lexhmm, symbols, args.nbest)
+                result = NBEST_VARIANTS[args.variant](lexhmm, symbols, args.nbest)
         except DecodeError as exc:
             print(f"# error: {exc}")
             continue
@@ -100,8 +103,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.count < 0:
-        raise InputError(f"--count must be >= 0, not {args.count}")
+    _at_least(0, args, "count")
     lexicon = _load_lexicon(args.wordlist)
     config = _load_config(args.config)
     entries = generate_sequences(lexicon, config, args.count, args.seed)
@@ -110,6 +112,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _at_least(0, args, "instances")
     lexicon = _load_lexicon(args.wordlist)
     config = _load_config(args.config)
     report = run_verify(lexicon, config, args.instances, args.seed)
@@ -123,16 +126,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _at_least(0, args, "sequences")
+    _at_least(1, args, "prefix_len", "suffix_len")
     if args.synthetic_prefixes or args.synthetic_suffixes:
-        if not (args.synthetic_prefixes and args.synthetic_suffixes):
-            raise InputError("--synthetic-prefixes and --synthetic-suffixes go together")
-        lexicon = synthetic_lexicon(
-            args.synthetic_prefixes,
-            args.synthetic_suffixes,
-            prefix_len=args.prefix_len,
-            suffix_len=args.suffix_len,
-            seed=args.seed,
-        )
+        _at_least(1, args, "synthetic_prefixes", "synthetic_suffixes")
+        try:
+            lexicon = synthetic_lexicon(
+                args.synthetic_prefixes,
+                args.synthetic_suffixes,
+                prefix_len=args.prefix_len,
+                suffix_len=args.suffix_len,
+                seed=args.seed,
+            )
+        except ValueError as exc:  # a pool larger than its words allow
+            raise InputError(str(exc)) from exc
     else:
         if args.wordlist is None:
             raise InputError("bench needs a word list or --synthetic-* pool sizes")
@@ -165,11 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("obs")
     p.add_argument("--nbest", type=int, default=1)
-    p.add_argument(
-        "--variant",
-        choices=["tabular", "flipflop", "inplace", "nbest-naive", "nbest-improved"],
-        default="inplace",
-    )
+    p.add_argument("--variant", choices=[*VARIANTS, *NBEST_VARIANTS], default="inplace")
     p.set_defaults(fn=cmd_decode)
 
     p = sub.add_parser("gen", help="generate synthetic observation sequences")

@@ -199,97 +199,86 @@ def _merge_token(lst: list, score: float, pph: int, n: int, from_pos: int = 0) -
     return True
 
 
-def _harvest_nbest(lexhmm: LexiconHMM, lists, n: int) -> list:
+def _nbest(lexhmm: LexiconHMM, obs, n: int, merge_state) -> DecodeResult:
+    """n-best token passing.  Each frame, merge_state(prev, preds[j], b, n,
+    res) builds state j's sorted token list, emission b added, from its
+    predecessors' lists in prev, and adds its work to res's counters."""
+    if n < 1:
+        raise DecodeError("n must be >= 1")
+    res = DecodeResult(token_slots=2 * lexhmm.n_states * n)
+    # START (-1) reads the trailing list: one token for the first frame only.
+    prev: list = [[] for _ in lexhmm.preds] + [[(0.0, 0)]]
+    for symbol in obs:
+        si = _symbol_index(lexhmm, symbol)
+        prev = [merge_state(prev, p, row[si], n, res)
+                for p, row in zip(lexhmm.preds, lexhmm.emit_rows)]
+        prev.append([])
     merged: list = []
     for f, dpph in lexhmm.finals:
-        for s, p in lists[f]:
+        for s, p in prev[f]:
             _merge_token(merged, s, p + dpph, n)
-    return [
-        (decode_pph(lexhmm.automaton, lexhmm.suff, p), p, s) for s, p in merged
-    ]
+    res.ranking = [(decode_pph(lexhmm.automaton, lexhmm.suff, p), p, s) for s, p in merged]
+    return res
+
+
+def _merge_naive(prev: list, preds_j, b: float, n: int, res: DecodeResult) -> list:
+    lst: list = []
+    visits = adds = 0
+    for i, log_a, dpph in preds_j:
+        src = prev[i]
+        visits += len(src)
+        if log_a == NEG_INF:
+            continue
+        adds += len(src)
+        for s0, p0 in src:
+            s = (s0 + log_a) + b
+            if s != NEG_INF:
+                _merge_token(lst, s, p0 + dpph, n)
+    res.ops += visits
+    res.merges += visits
+    res.emission_adds += adds
+    return lst
+
+
+def _merge_improved(prev: list, preds_j, b: float, n: int, res: DecodeResult) -> list:
+    lst: list = []
+    merges = 0
+    for k in range(n):
+        for i, log_a, dpph in preds_j:
+            src = prev[i]
+            if k >= len(src):
+                continue
+            s0, p0 = src[k]
+            if log_a == NEG_INF:
+                continue
+            s = s0 + log_a
+            if len(lst) == n:
+                # Quick reject against the current worst token; the
+                # path index is computed only when it can matter.
+                ls, lp = lst[-1]
+                if s < ls or (s == ls and p0 + dpph >= lp):
+                    continue
+            merges += 1
+            _merge_token(lst, s, p0 + dpph, n, from_pos=k)
+    res.ops += n * len(preds_j)  # every predecessor is visited at every rank
+    res.merges += merges
+    if b == NEG_INF:
+        return []
+    res.emission_adds += len(lst)
+    return [(s + b, p) for s, p in lst]
 
 
 def nbest_naive(lexhmm: LexiconHMM, obs, n: int) -> DecodeResult:
     """n-best with naive merging: every (predecessor, rank) candidate is
     built, given its emission term, and merged systematically."""
-    if n < 1:
-        raise DecodeError("n must be >= 1")
-    n_states = lexhmm.n_states
-    preds = lexhmm.preds
-    emit_rows = lexhmm.emit_rows
-    res = DecodeResult(token_slots=2 * n_states * n)
-    # START (-1) reads the trailing list: one token for the first frame only.
-    prev: list = [[] for _ in range(n_states)] + [[(0.0, 0)]]
-    for symbol in obs:
-        si = _symbol_index(lexhmm, symbol)
-        cur: list = []
-        for j in range(n_states):
-            lst: list = []
-            b = emit_rows[j][si]
-            for i, log_a, dpph in preds[j]:
-                for s0, p0 in prev[i]:
-                    res.ops += 1
-                    res.merges += 1
-                    if log_a == NEG_INF:
-                        continue
-                    s = (s0 + log_a) + b
-                    res.emission_adds += 1
-                    if s == NEG_INF:
-                        continue
-                    _merge_token(lst, s, p0 + dpph, n)
-            cur.append(lst)
-        cur.append([])
-        prev = cur
-    res.ranking = _harvest_nbest(lexhmm, prev, n)
-    return res
+    return _nbest(lexhmm, obs, n, _merge_naive)
 
 
 def nbest_improved(lexhmm: LexiconHMM, obs, n: int) -> DecodeResult:
     """n-best with improved merging: rank-outer/predecessor-inner loop order,
     merge window restricted to the k-th element onward, path-index update
     only on merged tokens, emission added once per surviving token."""
-    if n < 1:
-        raise DecodeError("n must be >= 1")
-    n_states = lexhmm.n_states
-    preds = lexhmm.preds
-    emit_rows = lexhmm.emit_rows
-    res = DecodeResult(token_slots=2 * n_states * n)
-    # START (-1) reads the trailing list: one token for the first frame only.
-    prev: list = [[] for _ in range(n_states)] + [[(0.0, 0)]]
-    for symbol in obs:
-        si = _symbol_index(lexhmm, symbol)
-        cur: list = []
-        for j in range(n_states):
-            lst: list = []
-            for k in range(n):
-                for i, log_a, dpph in preds[j]:
-                    res.ops += 1
-                    src = prev[i]
-                    if k >= len(src):
-                        continue
-                    s0, p0 = src[k]
-                    if log_a == NEG_INF:
-                        continue
-                    s = s0 + log_a
-                    if len(lst) == n:
-                        # Quick reject against the current worst token; the
-                        # path index is computed only when it can matter.
-                        ls, lp = lst[-1]
-                        if s < ls or (s == ls and p0 + dpph >= lp):
-                            continue
-                    res.merges += 1
-                    _merge_token(lst, s, p0 + dpph, n, from_pos=k)
-            b = emit_rows[j][si]
-            if b == NEG_INF:
-                lst = []
-            else:
-                res.emission_adds += len(lst)
-                lst = [(s + b, p) for s, p in lst]
-            cur.append(lst)
-        cur.append([])
-        prev = cur
-    res.ranking = _harvest_nbest(lexhmm, prev, n)
-    return res
+    return _nbest(lexhmm, obs, n, _merge_improved)
 
 
 VARIANTS = {
@@ -297,3 +286,5 @@ VARIANTS = {
     "flipflop": viterbi_flipflop,
     "inplace": viterbi_inplace,
 }
+
+NBEST_VARIANTS = {"nbest-naive": nbest_naive, "nbest-improved": nbest_improved}

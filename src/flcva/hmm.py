@@ -47,6 +47,12 @@ class HmmConfig:
             raise HmmConfigError("observation alphabet must be non-empty")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise HmmConfigError("observation alphabet has duplicate symbols")
+        for sym in self.alphabet:
+            # observation files are whitespace-delimited and mark comments with #
+            if sym.split() != [sym] or sym.startswith("#"):
+                raise HmmConfigError(
+                    f"observation symbol {sym!r} is empty, has whitespace or starts with #"
+                )
         if self.states_per_letter < 1:
             raise HmmConfigError("states_per_letter must be >= 1")
         if not 0.0 <= self.self_loop_prob < 1.0:
@@ -200,6 +206,8 @@ def format_observations(entries) -> str:
     """Inverse of read_observations; entries are (symbols, truth) pairs."""
     lines: list[str] = []
     for symbols, truth in entries:
+        if not symbols:  # a blank line is skipped, and its truth would move on
+            raise ValueError("an observation sequence must not be empty")
         if truth is not None:
             lines.append(f"# truth {truth}")
         lines.append(" ".join(symbols))

@@ -48,13 +48,6 @@ class LexiconHMM:
         return len(self.state_node)
 
 
-@dataclass(frozen=True)
-class DecodeStats:
-    n_states: int
-    mean_preds: float  # (1/N) sum |pred(j)|, self-loops included
-    obs_len: int
-
-
 def expand(
     automaton: NodeAutomaton,
     increments: Sequence[Sequence[int]],
@@ -144,9 +137,3 @@ def word_linear_hmm(
     auto = build_trie(Lexicon.from_words([word]))
     increments = annotate_increments(auto, compute_suff(auto))
     return expand(auto, increments, letter_hmms, config)
-
-
-def decode_stats(lexhmm: LexiconHMM, obs_len: int) -> DecodeStats:
-    n = lexhmm.n_states
-    total = sum(len(p) for p in lexhmm.preds)
-    return DecodeStats(n_states=n, mean_preds=total / n, obs_len=obs_len)

@@ -1,9 +1,7 @@
 """Randomized equivalence suite: path-index bijection, 1-best decoder
 agreement, and n-best agreement against the exhaustive oracle.
 
-Used by the `verify` CLI subcommand and by the acceptance tests.  The
-corrupt_increment hook damages one cached arc increment so tests can confirm
-the suite actually detects inconsistencies.
+Used by the `verify` CLI subcommand and by the acceptance tests.
 """
 
 from __future__ import annotations
@@ -43,24 +41,10 @@ def _check_bijection(auto, suff, increments) -> str | None:
     return None
 
 
-def run_verify(
-    lexicon: Lexicon,
-    config: HmmConfig,
-    instances: int,
-    seed: int,
-    corrupt_increment: bool = False,
-) -> VerifyReport:
+def run_verify(lexicon: Lexicon, config: HmmConfig, instances: int, seed: int) -> VerifyReport:
     auto = minimize(build_trie(lexicon))
     suff = compute_suff(auto)
     increments = annotate_increments(auto, suff)
-    if corrupt_increment:
-        # Damage the last increment of the first multi-successor node.
-        damaged = [list(row) for row in increments]
-        for node, row in enumerate(damaged):
-            if len(row) > 1:
-                row[-1] += 1
-                break
-        increments = tuple(tuple(row) for row in damaged)
 
     checks = 0
     failure = _check_bijection(auto, suff, increments)

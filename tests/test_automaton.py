@@ -10,7 +10,6 @@ from flcva import (
     parse_automaton,
     read_wordlist,
     serialize_automaton,
-    stats,
     topological_index,
 )
 from flcva.oracle import enumerate_paths_dfs
@@ -42,14 +41,12 @@ def test_toy_language_round_trip(toy_trie, toy_dawg):
 
 
 def test_stats(toy_trie, toy_dawg):
-    st_trie = stats(toy_trie)
-    assert st_trie.node_count == 10
-    st_dawg = stats(toy_dawg)
-    assert st_dawg.node_count == 9
-    assert st_dawg.arc_count == 13
-    assert st_dawg.mean_degree == pytest.approx(13 / 9)
-    tiny = stats(build_trie(Lexicon.from_words(["a"])))
-    assert (tiny.node_count, tiny.arc_count, tiny.mean_degree) == (3, 2, 2 / 3)
+    assert toy_trie.node_count == 10
+    assert toy_dawg.node_count == 9
+    assert toy_dawg.arc_count == 13
+    assert toy_dawg.arc_count / toy_dawg.node_count == pytest.approx(13 / 9)
+    tiny = build_trie(Lexicon.from_words(["a"]))
+    assert (tiny.node_count, tiny.arc_count, tiny.arc_count / tiny.node_count) == (3, 2, 2 / 3)
 
 
 def test_topological_index_valid(toy_dawg):

@@ -265,6 +265,10 @@ def _assert_one_error_line(capsys) -> str:
     ("auto", "arc 3 4 0\narc 3 2 1", "arc 3 2 0\narc 3 4 1"),
     ("cfg", "states_per_letter=1", "states_per_letter=x"),
     ("cfg", "self_loop_prob=0.5", "self_loop_prob=half"),
+    # observation files are whitespace-delimited and mark comments with #:
+    # `gen` wrote sequences that read back shorter, or as comments
+    ("cfg", "alphabet=abcd", "alphabet=a bcd"),
+    ("cfg", "alphabet=abcd", "alphabet=abcd#"),
 ])
 def test_bad_input_exits_2_with_one_error_line(toy_paths, capsys, target, old, new):
     assert _decode_edited(toy_paths, target, old, new) == 2
@@ -278,6 +282,17 @@ def test_bad_input_exits_2_with_one_error_line(toy_paths, capsys, target, old, n
     ["decode", "{auto}", "{config}", "{obs}", "--variant", "tabular", "--nbest", "2"],
     ["decode", "{auto}", "{config}", "{obs}", "--nbest", "0"],
     ["gen", "{wordlist}", "{config}", "{out}", "--count", "-3"],
+    ["verify", "{wordlist}", "{config}", "--instances", "-3"],
+    ["bench", "{wordlist}", "{config}", "--sequences", "-2"],
+    ["bench", "{config}", "--synthetic-prefixes", "5", "--synthetic-suffixes", "5",
+     "--prefix-len", "0"],
+    ["bench", "{config}", "--synthetic-prefixes", "5", "--synthetic-suffixes", "5",
+     "--suffix-len", "-1"],
+    ["bench", "{config}", "--synthetic-prefixes", "-5", "--synthetic-suffixes", "5"],
+    ["bench", "{config}", "--synthetic-prefixes", "5"],
+    # 200 distinct 2-letter prefixes do not exist over 10 letters
+    ["bench", "{config}", "--synthetic-prefixes", "200", "--synthetic-suffixes", "5",
+     "--prefix-len", "2"],
 ])
 def test_option_that_cannot_work_exits_2(toy_paths, capsys, argv):
     wordlist, config, tmp = toy_paths

@@ -2,6 +2,8 @@ import math
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flcva import (
     NEG_INF,
@@ -124,3 +126,64 @@ def test_observation_file_round_trip():
     assert read_observations(text) == entries
     assert "# truth ab" in text
     assert format_observations([]) == ""
+    with pytest.raises(ValueError):
+        format_observations([([], "ab"), (["c"], None)])
+
+
+CONFIG_LINES = format_config(
+    HmmConfig(alphabet=tuple("abcd"), states_per_letter=2, self_loop_prob=0.4,
+              emission_peak=0.8)
+).splitlines()
+
+
+@st.composite
+def _mutated_config(draw):
+    """The config file with one line deleted, duplicated or swapped with
+    another, one value replaced, or one character inserted."""
+    lines = list(CONFIG_LINES)
+    i = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(["delete", "duplicate", "swap", "value", "insert"]))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "value":
+        key = lines[i].partition("=")[0]
+        lines[i] = key + "=" + draw(st.one_of(
+            st.text(max_size=6),
+            st.sampled_from(["0", "1", "-1", "0.5", "1e-400", "nan", "inf", "a b", "ab#", "aa"]),
+        ))
+    else:
+        k = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:k] + draw(st.characters()) + lines[i][k:]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_config())
+def test_mutated_config_is_rejected_or_round_trips(text):
+    try:
+        cfg = parse_config(text)
+    except HmmConfigError:
+        return
+    assert parse_config(format_config(cfg)) == cfg
+    assert all(sym.split() == [sym] for sym in cfg.alphabet)
+
+
+# Observation symbols as a config accepts them: no whitespace (the file is
+# whitespace-delimited) and no leading # (it marks comment lines).
+_TOKEN = st.text(
+    st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs")), min_size=1, max_size=3
+)
+_SYMBOL = _TOKEN.filter(lambda s: not s.startswith("#"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(st.lists(_SYMBOL, min_size=1, max_size=6), st.none() | _TOKEN), max_size=5
+))
+def test_observation_file_round_trip_property(entries):
+    assert read_observations(format_observations(entries)) == entries

@@ -5,7 +5,6 @@ from flcva import (
     ExpansionError,
     Lexicon,
     build_trie,
-    decode_stats,
     expand,
     make_letter_hmms,
     minimize,
@@ -93,12 +92,10 @@ def test_word_linear_matches_single_word_expand():
 
 def test_decode_stats(toy_lexhmm_onehot):
     lexhmm, _cfg, _hmms = toy_lexhmm_onehot
-    st = decode_stats(lexhmm, 5)
-    assert st.n_states == 7
-    assert st.obs_len == 5
+    assert lexhmm.n_states == 7
     total = sum(len(p) for p in lexhmm.preds)
-    assert st.mean_preds == total / 7
-    assert st.mean_preds >= 1.0
+    assert total == 15
+    assert total / lexhmm.n_states >= 1.0
 
 
 def test_chain_mean_preds():
@@ -107,7 +104,7 @@ def test_chain_mean_preds():
     lexhmm = word_linear_hmm("a", hmms, cfg)
     # k-state chain: self-loops everywhere, forward into all but the first,
     # one START arc: (2k - 1 + 1)/k = 2.
-    assert decode_stats(lexhmm, 0).mean_preds == pytest.approx(2.0)
+    assert sum(len(p) for p in lexhmm.preds) / lexhmm.n_states == pytest.approx(2.0)
 
 
 def test_missing_letter_model_rejected(toy_annotated):

@@ -1,5 +1,6 @@
-from flcva import Lexicon
-from flcva.verify import run_verify
+from flcva import Lexicon, build_trie, minimize
+from flcva.pph import annotate_increments, compute_suff
+from flcva.verify import _check_bijection, run_verify
 
 from conftest import TOY_WORDS, uniform_config
 
@@ -12,11 +13,14 @@ def test_toy_suite_passes(toy_lexicon):
 
 
 def test_corrupted_increment_detected(toy_lexicon):
-    report = run_verify(
-        toy_lexicon, uniform_config(), instances=2, seed=0, corrupt_increment=True
-    )
-    assert not report.passed
-    assert "bijection" in report.failure
+    auto = minimize(build_trie(toy_lexicon))
+    suff = compute_suff(auto)
+    increments = [list(row) for row in annotate_increments(auto, suff)]
+    assert _check_bijection(auto, suff, increments) is None
+    # damage the last increment of the first multi-successor node
+    row = next(row for row in increments if len(row) > 1)
+    row[-1] += 1
+    assert _check_bijection(auto, suff, increments) is not None
 
 
 def test_zero_instances_pass_with_warning(toy_lexicon):
