@@ -5,6 +5,7 @@ from .automaton import (
     AutomatonError,
     Lexicon,
     NodeAutomaton,
+    build_dawg,
     build_trie,
     minimize,
     parse_automaton,

@@ -1,4 +1,5 @@
-"""Lexicon node-automata: trie construction, DAWG minimization, serialization.
+"""Lexicon node-automata: trie and incremental DAWG construction, DAWG
+minimization (the reference), serialization.
 
 Nodes carry letter labels; the root and the shared sink are unlabeled and
 structural.  Successor lists are kept in canonical order: letter arcs
@@ -166,55 +167,107 @@ def build_trie(lexicon: Lexicon) -> NodeAutomaton:
     return _finalize(labels, succs, 0, sink, lexicon.word_count)
 
 
+def build_dawg(lexicon: Lexicon) -> NodeAutomaton:
+    """Build the minimal node-automaton (DAWG) straight from the sorted words.
+
+    Daciuk, Mihov, Watson and Watson's incremental construction
+    (Computational Linguistics 26(1), 2000): only the previous word's path is
+    open; when the next word leaves it, the nodes past the common prefix are
+    frozen deepest first, each replaced by an equal node (same label, same
+    successors) already in the register, or registered itself.  The trie is
+    never built, so memory stays proportional to the DAWG.  The result equals
+    minimize(build_trie(lexicon)).
+    """
+    if lexicon.word_count == 0:
+        raise AutomatonError("cannot build an automaton from an empty lexicon")
+    sink = 0
+    # (label, successor ids) -> node id; frozen nodes are numbered from 1 in
+    # insertion order, after the sink.
+    register: dict = {}
+    # The open path: [label, successor ids, ends a word] per prefix, root first.
+    path: list = [[None, [], False]]
+
+    def freeze(depth: int) -> None:
+        for _ in range(len(path) - depth):
+            label, children, final = path.pop()
+            if final:
+                children.append(sink)  # after every letter arc
+            key = (label, tuple(children))
+            path[-1][1].append(register.setdefault(key, len(register) + 1))
+
+    prev = ""
+    for w in lexicon.words:
+        if w <= prev:
+            raise AutomatonError(
+                f"lexicon words must be non-empty and strictly ascending: {w!r} after {prev!r}"
+            )
+        k = 0
+        for a, b in zip(prev, w):
+            if a != b:
+                break
+            k += 1
+        freeze(k + 1)
+        path.extend([ch, [], False] for ch in w[k:])
+        path[-1][2] = True
+        prev = w
+    freeze(1)
+    # Node ids: the sink, then the register in insertion order, then the root.
+    labels, succs = zip((None, ()), *register, (None, path[0][1]))
+    return _renumbered(labels, succs, len(labels) - 1, sink, lexicon.word_count)
+
+
 def minimize(trie: NodeAutomaton) -> NodeAutomaton:
     """Merge nodes with equal letter label and equal right language.
 
     Bottom-up hash-consing on (label, successor representative ids); processes
     nodes in decreasing topological index so successors are resolved first.
-    Preserves the language and the canonical successor ordering.
+    Preserves the language and the canonical successor ordering.  This is the
+    reference that build_dawg must match, and the benchmark's traced
+    trie-then-minimize set-up; the CLI builds DAWGs with build_dawg.
     """
-    n = trie.node_count
-    order = sorted(range(n), key=lambda x: trie.topo_index[x], reverse=True)
-    rep: dict[int, int] = {}
+    order = sorted(range(trie.node_count), key=lambda x: trie.topo_index[x], reverse=True)
+    rep = {trie.sink: trie.sink}
     register: dict = {}
+    succs: list = [()] * trie.node_count
     for node in order:
-        if node in (trie.sink, trie.root):
-            rep[node] = node
+        if node == trie.sink:
             continue
-        sig = (trie.labels[node], tuple(rep[s] for s in trie.succs[node]))
-        rep[node] = register.setdefault(sig, node)
+        succs[node] = tuple(rep[s] for s in trie.succs[node])
+        if node == trie.root:
+            rep[node] = node
+        else:
+            rep[node] = register.setdefault((trie.labels[node], succs[node]), node)
+    return _renumbered(trie.labels, succs, trie.root, trie.sink, trie.word_count)
 
-    # Rebuild reachable structure with fresh preorder ids, sink last.
-    new_id: dict[int, int] = {trie.root: 0}
-    labels: list = [None]
-    succs: list = [[]]
-    stack = [(trie.root, iter(trie.succs[trie.root]))]
+
+def _renumbered(labels, succs, root: int, sink: int, word_count: int) -> NodeAutomaton:
+    """The part of a graph reachable from root, numbered in preorder from
+    root (successors in canonical order), with the sink last.
+
+    labels and succs are indexed by the graph's own node ids; nodes that
+    root cannot reach are dropped.
+    """
+    new_id = {root: 0, sink: -1}  # the sink's id is known only at the end
+    out_labels: list = [None]
+    out_succs: list = [[]]
+    stack = [(root, iter(succs[root]))]
     while stack:
         old, it = stack[-1]
         x = next(it, None)
         if x is None:
             stack.pop()
             continue
-        s = rep[x]
-        lst = succs[new_id[old]]
-        if s == trie.sink:
-            lst.append(-1)
-        elif s in new_id:
-            lst.append(new_id[s])
-        else:
-            new_id[s] = len(labels)
-            labels.append(trie.labels[s])
-            succs.append([])
-            lst.append(new_id[s])
-            stack.append((s, iter(trie.succs[s])))
-    sink = len(labels)
-    labels.append(None)
-    succs.append([])
-    for lst in succs:
-        for i, dst in enumerate(lst):
-            if dst == -1:
-                lst[i] = sink
-    return _finalize(labels, succs, 0, sink, trie.word_count)
+        if x not in new_id:
+            new_id[x] = len(out_labels)
+            out_labels.append(labels[x])
+            out_succs.append([])
+            stack.append((x, iter(succs[x])))
+        out_succs[new_id[old]].append(new_id[x])
+    new_sink = len(out_labels)
+    out_labels.append(None)
+    out_succs = [[new_sink if d == -1 else d for d in lst] for lst in out_succs]
+    out_succs.append([])
+    return _finalize(out_labels, out_succs, 0, new_sink, word_count)
 
 
 def serialize_automaton(

@@ -11,7 +11,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .automaton import Lexicon, build_trie, minimize
+from .automaton import Lexicon, build_dawg, build_trie
 from .decode import viterbi_flipflop, viterbi_inplace
 from .hmm import HmmConfig, make_letter_hmms, sample_observations
 from .lexhmm import expand
@@ -63,8 +63,7 @@ def run_bench(
     obs_set = generate_sequences(lexicon, config, sequences, seed)
     t_total = sum(len(obs) for obs, _ in obs_set)
 
-    trie = build_trie(lexicon)
-    structures = (("trie", trie), ("dawg", minimize(trie)))
+    structures = (("trie", build_trie(lexicon)), ("dawg", build_dawg(lexicon)))
     rows: list[BenchRow] = []
     for name, auto in structures:
         increments = annotate_increments(auto, compute_suff(auto))

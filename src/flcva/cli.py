@@ -10,8 +10,8 @@ import sys
 
 from .automaton import (
     AutomatonError,
+    build_dawg,
     build_trie,
-    minimize,
     parse_automaton,
     read_wordlist,
     serialize_automaton,
@@ -66,9 +66,7 @@ def _load_config(path: str):
 
 def cmd_build(args) -> int:
     lexicon = _load_lexicon(args.wordlist)
-    auto = build_trie(lexicon)
-    if args.dawg:
-        auto = minimize(auto)
+    auto = build_dawg(lexicon) if args.dawg else build_trie(lexicon)
     suff = compute_suff(auto)
     increments = annotate_increments(auto, suff)
     _write(args.out, serialize_automaton(auto, suff, increments))
@@ -129,6 +127,8 @@ def cmd_bench(args) -> int:
     _at_least(0, args, "sequences")
     _at_least(1, args, "prefix_len", "suffix_len")
     if args.synthetic_prefixes or args.synthetic_suffixes:
+        if args.wordlist is not None:
+            raise InputError("bench takes a word list or --synthetic-* pool sizes, not both")
         _at_least(1, args, "synthetic_prefixes", "synthetic_suffixes")
         try:
             lexicon = synthetic_lexicon(

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .automaton import Lexicon, build_trie, minimize
+from .automaton import Lexicon, build_dawg
 from .decode import nbest_improved, nbest_naive, viterbi_flipflop, viterbi_inplace, viterbi_tabular
 from .hmm import HmmConfig, make_letter_hmms, sample_observations
 from .lexhmm import expand
@@ -42,7 +42,7 @@ def _check_bijection(auto, suff, increments) -> str | None:
 
 
 def run_verify(lexicon: Lexicon, config: HmmConfig, instances: int, seed: int) -> VerifyReport:
-    auto = minimize(build_trie(lexicon))
+    auto = build_dawg(lexicon)
     suff = compute_suff(auto)
     increments = annotate_increments(auto, suff)
 

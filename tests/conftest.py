@@ -4,11 +4,11 @@ from flcva import (
     HmmConfig,
     Lexicon,
     annotate_increments,
+    build_dawg,
     build_trie,
     compute_suff,
     expand,
     make_letter_hmms,
-    minimize,
 )
 
 TOY_WORDS = ["ab", "ba", "bb", "bc", "bcd", "c"]
@@ -37,8 +37,8 @@ def toy_trie(toy_lexicon):
 
 
 @pytest.fixture
-def toy_dawg(toy_trie):
-    return minimize(toy_trie)
+def toy_dawg(toy_lexicon):
+    return build_dawg(toy_lexicon)
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from flcva import (
     AutomatonError,
     Lexicon,
+    build_dawg,
     build_trie,
     minimize,
     parse_automaton,
@@ -14,7 +15,7 @@ from flcva import (
 )
 from flcva.oracle import enumerate_paths_dfs
 from flcva.pph import annotate_increments, compute_suff, encode_word
-from flcva.synth import random_lexicon
+from flcva.synth import random_lexicon, synthetic_lexicon
 
 from conftest import ISOLATED_NODE_FILE, TOY_WORDS
 
@@ -73,6 +74,17 @@ def test_topological_index_chain():
 def test_empty_lexicon_rejected():
     with pytest.raises(AutomatonError):
         build_trie(Lexicon.from_words([]))
+    with pytest.raises(AutomatonError):
+        build_dawg(Lexicon.from_words([]))
+
+
+@pytest.mark.parametrize("words", [("ab", "ab", "b"), ("b", "ab"), ("", "a")],
+                         ids=["duplicate", "unsorted", "empty-word"])
+def test_build_dawg_rejects_words_not_strictly_ascending(words):
+    # Lexicon(...) bypasses from_words; a duplicate made word_count=3 for an
+    # automaton that accepts 2 words
+    with pytest.raises(AutomatonError, match="strictly ascending"):
+        build_dawg(Lexicon(words))
 
 
 def test_empty_word_rejected():
@@ -141,6 +153,29 @@ def test_language_preserved_property(words):
         assert dawg.topo_index[src] < dawg.topo_index[dst]
 
 
+def _annotated_text(auto):
+    suff = compute_suff(auto)
+    return serialize_automaton(auto, suff, annotate_increments(auto, suff))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sets(st.text(alphabet="abc", min_size=1, max_size=6), min_size=1, max_size=40)
+)
+def test_build_dawg_equals_minimized_trie_property(words):
+    # short words over three letters: many are prefixes of others
+    lex = Lexicon.from_words(words)
+    assert _annotated_text(build_dawg(lex)) == _annotated_text(minimize(build_trie(lex)))
+
+
+@pytest.mark.parametrize("lex", [
+    Lexicon.from_words(TOY_WORDS),
+    synthetic_lexicon(120, 90, seed=7),
+], ids=["toy", "120x90"])
+def test_build_dawg_equals_minimized_trie(lex):
+    assert _annotated_text(build_dawg(lex)) == _annotated_text(minimize(build_trie(lex)))
+
+
 def test_read_wordlist_ignores_blank_lines():
     lex = read_wordlist("ab\n\n  \nc\nab\n")
     assert lex.words == ("ab", "c")
@@ -191,13 +226,7 @@ def test_word_with_whitespace_rejected():
         Lexicon.from_words(["a", " b"])
 
 
-def _toy_dawg_lines():
-    dawg = minimize(build_trie(Lexicon.from_words(TOY_WORDS)))
-    suff = compute_suff(dawg)
-    return serialize_automaton(dawg, suff, annotate_increments(dawg, suff)).splitlines()
-
-
-TOY_DAWG_LINES = _toy_dawg_lines()
+TOY_DAWG_LINES = _annotated_text(minimize(build_trie(Lexicon.from_words(TOY_WORDS)))).splitlines()
 
 
 @st.composite

@@ -2,12 +2,13 @@ import math
 
 import pytest
 
-from flcva.automaton import Lexicon
+from flcva.automaton import Lexicon, build_trie, minimize, serialize_automaton
 from flcva.bench import generate_sequences
 from flcva.cli import main
 from flcva.hmm import (
     HmmConfig, format_config, format_observations, parse_config, quantize_log,
 )
+from flcva.pph import annotate_increments, compute_suff
 
 from conftest import ISOLATED_NODE_FILE, TOY_WORDS
 
@@ -40,6 +41,22 @@ def test_build_dawg_prints_stats(toy_paths, capsys):
     out = tmp / "dawg.auto"
     assert main(["build", str(wordlist), str(out), "--dawg"]) == 0
     assert capsys.readouterr().out.startswith("N=9 arcs=13 W=6")
+
+
+def test_build_dawg_does_not_build_the_trie(toy_paths, monkeypatch):
+    wordlist, _config, tmp = toy_paths
+    lex = Lexicon.from_words(TOY_WORDS)
+    dawg = minimize(build_trie(lex))
+    suff = compute_suff(dawg)
+    expected = serialize_automaton(dawg, suff, annotate_increments(dawg, suff))
+
+    def no_trie(_lexicon):
+        raise AssertionError("build --dawg built the trie")
+
+    monkeypatch.setattr("flcva.cli.build_trie", no_trie)
+    out = tmp / "dawg.auto"
+    assert main(["build", str(wordlist), str(out), "--dawg"]) == 0
+    assert out.read_text() == expected
 
 
 def test_build_is_deterministic(toy_paths):
@@ -290,6 +307,9 @@ def test_bad_input_exits_2_with_one_error_line(toy_paths, capsys, target, old, n
      "--suffix-len", "-1"],
     ["bench", "{config}", "--synthetic-prefixes", "-5", "--synthetic-suffixes", "5"],
     ["bench", "{config}", "--synthetic-prefixes", "5"],
+    # the word list was ignored and the synthetic lexicon benchmarked
+    ["bench", "{wordlist}", "{synth_config}", "--synthetic-prefixes", "3",
+     "--synthetic-suffixes", "3", "--prefix-len", "2", "--suffix-len", "2"],
     # 200 distinct 2-letter prefixes do not exist over 10 letters
     ["bench", "{config}", "--synthetic-prefixes", "200", "--synthetic-suffixes", "5",
      "--prefix-len", "2"],
@@ -299,8 +319,11 @@ def test_option_that_cannot_work_exits_2(toy_paths, capsys, argv):
     auto, obs, out = tmp / "dawg.auto", tmp / "obs.txt", tmp / "gen.obs"
     assert main(["build", str(wordlist), str(auto), "--dawg"]) == 0
     obs.write_text("b c d\n")
+    synth_config = tmp / "synth.cfg"  # the synthetic generator draws from letters a-j
+    synth_config.write_text(config.read_text().replace("alphabet=abcd", "alphabet=abcdefghij"))
     capsys.readouterr()
-    paths = dict(auto=auto, config=config, obs=obs, wordlist=wordlist, out=out)
+    paths = dict(auto=auto, config=config, obs=obs, wordlist=wordlist, out=out,
+                 synth_config=synth_config)
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert _assert_one_error_line(capsys) == ""  # nothing decoded
     assert not out.exists()
