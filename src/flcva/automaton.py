@@ -131,12 +131,10 @@ def build_trie(lexicon: Lexicon) -> NodeAutomaton:
     """Build the trie node-automaton with a single shared sink.
 
     One node per distinct word prefix; every word end routes to the sink.
+    The words must be strictly ascending, as Lexicon.from_words keeps them.
     """
     if lexicon.word_count == 0:
         raise AutomatonError("cannot build an automaton from an empty lexicon")
-    for w in lexicon.words:
-        if w == "":
-            raise AutomatonError("empty word is not allowed in a lexicon")
 
     # In sorted word order, each word's new prefixes come up in preorder (a
     # node before its children, siblings by ascending letter), so one pass
@@ -146,7 +144,11 @@ def build_trie(lexicon: Lexicon) -> NodeAutomaton:
     terminal: list[int] = []
     path = [0]  # node ids of the previous word's prefixes
     prev = ""
-    for w in sorted(set(lexicon.words)):
+    for w in lexicon.words:
+        if w <= prev:
+            raise AutomatonError(
+                f"lexicon words must be non-empty and strictly ascending: {w!r} after {prev!r}"
+            )
         k = 0
         while k < len(prev) and k < len(w) and prev[k] == w[k]:
             k += 1

@@ -77,11 +77,23 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _nbest_arg(text: str):
+    """--nbest value: a count, or "all" for every word of the lexicon."""
+    if text == "all":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or 'all', not {text!r}") from None
+
+
 def cmd_decode(args) -> int:
-    _at_least(1, args, "nbest")
+    if args.nbest != "all":
+        _at_least(1, args, "nbest")
     if args.nbest != 1 and args.variant in VARIANTS:
         raise InputError(f"--nbest {args.nbest} needs an n-best variant, not {args.variant}")
     auto, _, increments = parse_automaton(_read(args.automaton))
+    n = auto.word_count if args.nbest == "all" else args.nbest
     config = _load_config(args.config)
     letters = {lab for lab in auto.labels if lab is not None}
     letter_hmms = make_letter_hmms(letters, config)
@@ -92,7 +104,7 @@ def cmd_decode(args) -> int:
             if args.variant in VARIANTS:
                 result = VARIANTS[args.variant](lexhmm, symbols)
             else:
-                result = NBEST_VARIANTS[args.variant](lexhmm, symbols, args.nbest)
+                result = NBEST_VARIANTS[args.variant](lexhmm, symbols, n)
         except DecodeError as exc:
             print(f"# error: {exc}")
             continue
@@ -171,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("automaton")
     p.add_argument("config")
     p.add_argument("obs")
-    p.add_argument("--nbest", type=int, default=1)
+    p.add_argument("--nbest", type=_nbest_arg, default=1)
     p.add_argument("--variant", choices=[*VARIANTS, *NBEST_VARIANTS], default="inplace")
     p.set_defaults(fn=cmd_decode)
 

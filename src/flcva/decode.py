@@ -2,13 +2,15 @@
 
 Variants: tabular (full lattice + backtracking, the reference), flip-flop
 (two token arrays), in-place (single array, reverse topological scan), and
-n-best with naive and improved merging.  Tokens carry a log score and an
-integer path-history index; ties on score are broken toward the smaller
-path index everywhere, so all variants and the oracle are bit-comparable.
+n-best with naive and improved merging.  Tokens carry a log score (n-best
+tokens its negation, the cost) and an integer path-history index; ties on
+score are broken toward the smaller path index everywhere, so all variants
+and the oracle are bit-comparable.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -176,33 +178,33 @@ def viterbi_tabular(lexhmm: LexiconHMM, obs) -> DecodeResult:
 # --- n-best ----------------------------------------------------------------
 
 
-def _merge_token(lst: list, score: float, pph: int, n: int, from_pos: int = 0) -> bool:
-    """Insert (score, pph) into a sorted distinct-pph token list capped at n.
+def _top_n(cands: list, n: int) -> list:
+    """The n best (cost, pph) tokens of cands, one per pph, in rank order.
 
-    A candidate whose pph already exists replaces the entry only if strictly
-    better.  Insertion position search starts at from_pos (the improved
-    variant merges only from the k-th element to the end).
+    Tuple order is rank order (lower cost first, ties to the smaller pph),
+    so one sort ranks every candidate and the first token seen of each pph
+    is that path's best.  Sorts cands in place.
     """
-    for idx, (es, ep) in enumerate(lst):
-        if ep == pph:
-            if _better(score, pph, es, ep):
-                del lst[idx]
+    cands.sort()
+    kept: list = []
+    seen: set = set()
+    for tok in cands:
+        if tok[1] not in seen:
+            seen.add(tok[1])
+            kept.append(tok)
+            if len(kept) == n:
                 break
-            return False
-    pos = from_pos
-    while pos < len(lst) and not _better(score, pph, lst[pos][0], lst[pos][1]):
-        pos += 1
-    if pos >= n:
-        return False
-    lst.insert(pos, (score, pph))
-    del lst[n:]
-    return True
+    return kept
 
 
 def _nbest(lexhmm: LexiconHMM, obs, n: int, merge_state) -> DecodeResult:
     """n-best token passing.  Each frame, merge_state(prev, preds[j], b, n,
     res) builds state j's sorted token list, emission b added, from its
-    predecessors' lists in prev, and adds its work to res's counters."""
+    predecessors' lists in prev, and adds its work to res's counters.
+
+    Tokens are (cost, pph) with cost = -score, so plain tuple order is rank
+    order.  Negation is exact, so every score equals its max-plus value.
+    """
     if n < 1:
         raise DecodeError("n must be >= 1")
     res = DecodeResult(token_slots=2 * lexhmm.n_states * n)
@@ -213,31 +215,30 @@ def _nbest(lexhmm: LexiconHMM, obs, n: int, merge_state) -> DecodeResult:
         prev = [merge_state(prev, p, row[si], n, res)
                 for p, row in zip(lexhmm.preds, lexhmm.emit_rows)]
         prev.append([])
-    merged: list = []
-    for f, dpph in lexhmm.finals:
-        for s, p in prev[f]:
-            _merge_token(merged, s, p + dpph, n)
-    res.ranking = [(decode_pph(lexhmm.automaton, lexhmm.suff, p), p, s) for s, p in merged]
+    top = _top_n([(c, p + dpph) for f, dpph in lexhmm.finals for c, p in prev[f]], n)
+    # 0.0 - c, not -c: a zero cost scores 0.0, never -0.0.
+    res.ranking = [(decode_pph(lexhmm.automaton, lexhmm.suff, p), p, 0.0 - c) for c, p in top]
     return res
 
 
 def _merge_naive(prev: list, preds_j, b: float, n: int, res: DecodeResult) -> list:
-    lst: list = []
+    cands: list = []
+    append = cands.append
     visits = adds = 0
+    live = b != NEG_INF  # a -inf emission kills every candidate, still counted
     for i, log_a, dpph in preds_j:
         src = prev[i]
         visits += len(src)
         if log_a == NEG_INF:
             continue
         adds += len(src)
-        for s0, p0 in src:
-            s = (s0 + log_a) + b
-            if s != NEG_INF:
-                _merge_token(lst, s, p0 + dpph, n)
+        if live:
+            for c0, p0 in src:
+                append(((c0 - log_a) - b, p0 + dpph))
     res.ops += visits
     res.merges += visits
     res.emission_adds += adds
-    return lst
+    return _top_n(cands, n)
 
 
 def _merge_improved(prev: list, preds_j, b: float, n: int, res: DecodeResult) -> list:
@@ -246,26 +247,40 @@ def _merge_improved(prev: list, preds_j, b: float, n: int, res: DecodeResult) ->
     for k in range(n):
         for i, log_a, dpph in preds_j:
             src = prev[i]
-            if k >= len(src):
+            if k >= len(src) or log_a == NEG_INF:
                 continue
-            s0, p0 = src[k]
-            if log_a == NEG_INF:
-                continue
-            s = s0 + log_a
+            c0, p0 = src[k]
+            c = c0 - log_a
             if len(lst) == n:
                 # Quick reject against the current worst token; the
                 # path index is computed only when it can matter.
-                ls, lp = lst[-1]
-                if s < ls or (s == ls and p0 + dpph >= lp):
+                lc, lp = lst[-1]
+                if c > lc or (c == lc and p0 + dpph >= lp):
                     continue
             merges += 1
-            _merge_token(lst, s, p0 + dpph, n, from_pos=k)
+            p = p0 + dpph
+            # A token whose pph is already held replaces it only if better.
+            held = False
+            for idx, (hc, hp) in enumerate(lst):
+                if hp == p:
+                    if c < hc:
+                        del lst[idx]
+                    else:
+                        held = True
+                    break
+            if held:
+                continue
+            # The merge window starts at rank k: earlier ranks are final.
+            pos = bisect_right(lst, (c, p), k)
+            if pos < n:
+                lst.insert(pos, (c, p))
+                del lst[n:]
     res.ops += n * len(preds_j)  # every predecessor is visited at every rank
     res.merges += merges
     if b == NEG_INF:
         return []
     res.emission_adds += len(lst)
-    return [(s + b, p) for s, p in lst]
+    return [(c - b, p) for c, p in lst]
 
 
 def nbest_naive(lexhmm: LexiconHMM, obs, n: int) -> DecodeResult:

@@ -152,9 +152,14 @@ def test_criterion_5_nbest_correctness():
         exact = nbest_exhaustive(lex, hmms, cfg, obs, n)
         assert naive.ranking == improved.ranking == exact, f"seed {seed} n={n}"
         assert improved.merges <= naive.merges, f"seed {seed} n={n}"
+        # all words: n = W
+        w = lex.word_count
+        exact = nbest_exhaustive(lex, hmms, cfg, obs, w)
+        assert nbest_naive(lexhmm, obs, w).ranking == exact, f"seed {seed} n=W"
+        assert nbest_improved(lexhmm, obs, w).ranking == exact, f"seed {seed} n=W"
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
-    _report("criterion 5 (n-best correctness)", elapsed, "toy + 100 instances")
+    _report("criterion 5 (n-best correctness)", elapsed, "toy + 100 instances at n and W")
 
 
 def test_criterion_6_work_scaling():

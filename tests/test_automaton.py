@@ -78,13 +78,23 @@ def test_empty_lexicon_rejected():
         build_dawg(Lexicon.from_words([]))
 
 
-@pytest.mark.parametrize("words", [("ab", "ab", "b"), ("b", "ab"), ("", "a")],
-                         ids=["duplicate", "unsorted", "empty-word"])
+NOT_STRICTLY_ASCENDING = pytest.mark.parametrize(
+    "words", [("ab", "ab", "b"), ("b", "ab"), ("", "a")],
+    ids=["duplicate", "unsorted", "empty-word"])
+
+
+@NOT_STRICTLY_ASCENDING
 def test_build_dawg_rejects_words_not_strictly_ascending(words):
     # Lexicon(...) bypasses from_words; a duplicate made word_count=3 for an
     # automaton that accepts 2 words
     with pytest.raises(AutomatonError, match="strictly ascending"):
         build_dawg(Lexicon(words))
+
+
+@NOT_STRICTLY_ASCENDING
+def test_build_trie_rejects_words_not_strictly_ascending(words):
+    with pytest.raises(AutomatonError, match="strictly ascending"):
+        build_trie(Lexicon(words))
 
 
 def test_empty_word_rejected():

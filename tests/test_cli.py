@@ -5,12 +5,15 @@ import pytest
 from flcva.automaton import Lexicon, build_trie, minimize, serialize_automaton
 from flcva.bench import generate_sequences
 from flcva.cli import main
+from flcva.decode import DecodeResult, format_result
 from flcva.hmm import (
-    HmmConfig, format_config, format_observations, parse_config, quantize_log,
+    HmmConfig, format_config, format_observations, make_letter_hmms, parse_config,
+    quantize_log,
 )
+from flcva.oracle import nbest_exhaustive
 from flcva.pph import annotate_increments, compute_suff
 
-from conftest import ISOLATED_NODE_FILE, TOY_WORDS
+from conftest import ISOLATED_NODE_FILE, TOY_WORDS, uniform_config
 
 
 @pytest.fixture
@@ -111,6 +114,25 @@ def test_decode_variants_identical_rankings(toy_paths, capsys):
         ]
         outputs[variant] = lines
     assert len(set(map(tuple, outputs.values()))) == 1
+
+
+@pytest.mark.parametrize("variant", ["nbest-naive", "nbest-improved"])
+def test_decode_nbest_all_ranks_every_word(toy_paths, capsys, variant):
+    wordlist, _config, tmp = toy_paths
+    cfg = uniform_config()
+    config = tmp / "uniform.cfg"
+    config.write_text(format_config(cfg))
+    auto, obs = tmp / "dawg.auto", tmp / "obs.txt"
+    main(["build", str(wordlist), str(auto), "--dawg"])
+    obs.write_text("a a a\n")
+    capsys.readouterr()
+    assert main(["decode", str(auto), str(config), str(obs),
+                 "--variant", variant, "--nbest", "all"]) == 0
+    rows = capsys.readouterr().out.splitlines()[:-1]  # the trailer is last
+    lex = Lexicon.from_words(TOY_WORDS)
+    exact = nbest_exhaustive(lex, make_letter_hmms("abcd", cfg), cfg, ["a"] * 3, lex.word_count)
+    assert len(exact) == lex.word_count
+    assert rows == format_result(DecodeResult(ranking=exact)).splitlines()[:-1]
 
 
 def test_decode_empty_obs(toy_paths, capsys):
@@ -313,6 +335,7 @@ def test_bad_input_exits_2_with_one_error_line(toy_paths, capsys, target, old, n
     # 200 distinct 2-letter prefixes do not exist over 10 letters
     ["bench", "{config}", "--synthetic-prefixes", "200", "--synthetic-suffixes", "5",
      "--prefix-len", "2"],
+    ["decode", "{auto}", "{config}", "{obs}", "--variant", "flipflop", "--nbest", "all"],
 ])
 def test_option_that_cannot_work_exits_2(toy_paths, capsys, argv):
     wordlist, config, tmp = toy_paths

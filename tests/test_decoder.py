@@ -2,10 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flcva import (
     DecodeError,
     HmmConfig,
+    build_dawg,
     decode_pph,
     expand,
     format_result,
@@ -19,9 +22,10 @@ from flcva import (
     viterbi_inplace,
     viterbi_tabular,
 )
+from flcva.decode import _merge_improved, _merge_naive, _nbest, _top_n
 from flcva.hmm import quantize_log
 from flcva.pph import annotate_increments, compute_suff
-from flcva.synth import random_lexicon
+from flcva.synth import random_lexicon, synthetic_lexicon
 
 from conftest import onehot_config, uniform_config
 
@@ -123,6 +127,23 @@ def test_decoders_agree_on_random_instances():
             assert decode_pph(lexhmm.automaton, lexhmm.suff, pph) == word
 
 
+def _insert_capped(lst, tok, n):
+    """Reference merge, one comparison at a time: insert a (cost, pph) token
+    into a rank-ordered list of distinct pphs capped at n.  A held pph is
+    replaced only by a strictly better token."""
+    for idx, held in enumerate(lst):
+        if held[1] == tok[1]:
+            if tok >= held:
+                return
+            del lst[idx]
+            break
+    pos = 0
+    while pos < len(lst) and lst[pos] <= tok:
+        pos += 1
+    lst.insert(pos, tok)
+    del lst[n:]
+
+
 def test_bellman_consistency():
     # rank-1 token at every state and time equals the tabular lattice value.
     _lex, lexhmm, _hmms, _cfg, obs = _instance(99)
@@ -146,10 +167,8 @@ def test_bellman_consistency():
             if best != NEG_INF:
                 lat[t][j] = best + lexhmm.emit_rows[j][si]
 
-    # track naive n-best token heads per state across time
+    # track naive n-best (cost, pph) token heads per state across time
     prev = [[] for _ in range(n)]
-    from flcva.decode import _merge_token
-
     start_list = [(0.0, 0)]
     for t, sym in enumerate(obs):
         si = lexhmm.symbol_index[sym]
@@ -159,18 +178,68 @@ def test_bellman_consistency():
             b = lexhmm.emit_rows[j][si]
             for i, la, dp in lexhmm.preds[j]:
                 src = (start_list if t == 0 else ()) if i == START else prev[i]
-                for s0, p0 in src:
+                for c0, p0 in src:
                     if la == NEG_INF:
                         continue
-                    s = (s0 + la) + b
-                    if s == NEG_INF:
+                    c = (c0 - la) - b
+                    if c == math.inf:
                         continue
-                    _merge_token(lst, s, p0 + dp, 3)
+                    _insert_capped(lst, (c, p0 + dp), 3)
             cur.append(lst)
         prev = cur
         for j in range(n):
-            head = prev[j][0][0] if prev[j] else NEG_INF
+            head = 0.0 - prev[j][0][0] if prev[j] else NEG_INF
             assert head == lat[t][j]
+
+
+# Costs on the 2^-32 log grid; the small range forces exact ties.
+_grid_costs = st.one_of(st.integers(0, 3), st.integers(-2**40, 2**40)).map(
+    lambda k: k * 2.0**-32
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_grid_costs, st.integers(0, 5)), max_size=30), st.data())
+def test_top_n_equals_sequential_capped_insert(cands, data):
+    n = data.draw(st.integers(1, len(cands) + 1))
+    expected = []
+    for tok in cands:
+        _insert_capped(expected, tok, n)
+    assert _top_n(list(cands), n) == expected
+
+
+@pytest.mark.parametrize("merge", [_merge_naive, _merge_improved], ids=["naive", "improved"])
+def test_all_words_tokens_held_bounded_by_trie_states(merge):
+    # At n = W each token held at a DAWG state has its own pph prefix, and
+    # each such prefix is one trie state: a frame holds at most
+    # states_per_letter tokens per trie letter node, and all of them once
+    # every state is reachable.
+    lex = synthetic_lexicon(6, 5, prefix_len=3, suffix_len=3, seed=4)
+    cfg = HmmConfig(alphabet=tuple("abcdefghij"), states_per_letter=2,
+                    self_loop_prob=0.3, emission_peak=0.6)
+    dawg = build_dawg(lex)
+    suff = compute_suff(dawg)
+    lexhmm = expand(dawg, annotate_increments(dawg, suff),
+                    make_letter_hmms("abcdefghij", cfg), cfg)
+    bound = cfg.states_per_letter * (build_trie(lex).node_count - 2)
+    held = []  # tokens held after each frame
+    calls = 0
+
+    def counting(prev, preds_j, b, n, res):
+        nonlocal calls
+        if calls % lexhmm.n_states == 0:
+            held.append(0)  # _nbest merges every state once per frame
+        calls += 1
+        lst = merge(prev, preds_j, b, n, res)
+        held[-1] += len(lst)
+        return lst
+
+    obs = list("abcdefghijabcdef")
+    result = _nbest(lexhmm, obs, lex.word_count, counting)
+    assert len(held) == len(obs)
+    assert max(held) <= bound
+    assert held[-1] == bound
+    assert len(result.ranking) == lex.word_count
 
 
 def test_nbest_single_word_onehot(toy_lexhmm_onehot):
