@@ -30,7 +30,7 @@ class DecodeResult:
     ranking: list = field(default_factory=list)
     ops: int = 0            # predecessor visits in the inner loop
     merges: int = 0         # token-list merge operations
-    token_slots: int = 0    # peak token storage
+    token_slots: int = 0    # peak token storage (n-best: tokens alive)
     emission_adds: int = 0  # emission log-prob additions
 
 
@@ -45,10 +45,6 @@ def format_result(result: DecodeResult) -> str:
         f"token_slots={result.token_slots} emission_adds={result.emission_adds}"
     )
     return "\n".join(lines) + "\n"
-
-
-def _better(score: float, pph: int, ref_score: float, ref_pph: int) -> bool:
-    return score > ref_score or (score == ref_score and pph < ref_pph)
 
 
 def _symbol_index(lexhmm: LexiconHMM, symbol: str) -> int:
@@ -108,78 +104,8 @@ def _step(lexhmm: LexiconHMM, symbol: str, order, src, dst, back=None) -> int:
     return ops
 
 
-def _harvest_best(lexhmm: LexiconHMM, tokens) -> tuple:
-    """Best (final state, score, pph) after the sink arcs; the state is None
-    when no final state holds a live token."""
-    score, pph = tokens
-    best = (None, NEG_INF, 0)
-    for f, dpph in lexhmm.finals:
-        s, p = score[f], pph[f] + dpph
-        if _better(s, p, best[1], best[2]):
-            best = (f, s, p)
-    return best
-
-
-def _pph_ranking(lexhmm: LexiconHMM, tokens) -> list:
-    """The best final token as a one-row ranking, its word read from the pph."""
-    f, score, pph = _harvest_best(lexhmm, tokens)
-    if f is None:
-        return []
-    return [(decode_pph(lexhmm.automaton, lexhmm.suff, pph), pph, score)]
-
-
-def viterbi_flipflop(lexhmm: LexiconHMM, obs) -> DecodeResult:
-    """1-best token passing with two flip-flop arrays (2N token slots)."""
-    n_states = lexhmm.n_states
-    res = DecodeResult(token_slots=2 * n_states)
-    src, dst = _tokens(n_states, start=True), _tokens(n_states)
-    for symbol in obs:
-        res.ops += _step(lexhmm, symbol, range(n_states), src, dst)
-        src, dst = dst, src
-    res.ranking = _pph_ranking(lexhmm, src)
-    return res
-
-
-def viterbi_inplace(lexhmm: LexiconHMM, obs) -> DecodeResult:
-    """1-best with a single token array (N slots), scanned in reverse
-    topological order so each predecessor is read before being overwritten."""
-    n_states = lexhmm.n_states
-    res = DecodeResult(token_slots=n_states)
-    tokens = _tokens(n_states, start=True)
-    for symbol in obs:
-        res.ops += _step(lexhmm, symbol, range(n_states - 1, -1, -1), tokens, tokens)
-    res.ranking = _pph_ranking(lexhmm, tokens)
-    return res
-
-
-def viterbi_tabular(lexhmm: LexiconHMM, obs) -> DecodeResult:
-    """Reference 1-best: full T x N lattice with maximizing predecessors,
-    winner recovered by backtracking (N*T token slots)."""
-    n_states = lexhmm.n_states
-    res = DecodeResult(token_slots=n_states * len(obs))
-    # lattice[t] holds the tokens after t frames; lattice[0] is the start.
-    lattice = [_tokens(n_states, start=True)] + [_tokens(n_states) for _ in obs]
-    back = [[START] * n_states for _ in obs]
-    for t, symbol in enumerate(obs):
-        res.ops += _step(lexhmm, symbol, range(n_states), lattice[t], lattice[t + 1], back[t])
-    j, score, pph = _harvest_best(lexhmm, lattice[-1])
-    if j is None:
-        return res
-    # Backtrack the state path and spell the word from its node visits.
-    nodes = []
-    for row in reversed(back):
-        nodes.append(lexhmm.state_node[j])
-        j = row[j]
-    word = "".join(lexhmm.automaton.labels[node] for node, _ in groupby(reversed(nodes)))
-    res.ranking = [(word, pph, score)]
-    return res
-
-
-# --- n-best ----------------------------------------------------------------
-
-
 def _top_n(cands: list, n: int) -> list:
-    """The n best (cost, pph) tokens of cands, one per pph, in rank order.
+    """The n best (cost, pph, ...) tokens of cands, one per pph, in rank order.
 
     Tuple order is rank order (lower cost first, ties to the smaller pph),
     so one sort ranks every candidate and the first token seen of each pph
@@ -197,6 +123,71 @@ def _top_n(cands: list, n: int) -> list:
     return kept
 
 
+def _best_final(lexhmm: LexiconHMM, tokens) -> list:
+    """The best live token after the sink arcs as [(cost, pph, exit state)],
+    ranked like the n-best tokens; [] when no final state holds one."""
+    score, pph = tokens
+    return _top_n([(0.0 - score[f], pph[f] + dpph, f)
+                   for f, dpph in lexhmm.finals if score[f] != NEG_INF], 1)
+
+
+def _ranking(lexhmm: LexiconHMM, top: list) -> list:
+    """(word, pph, score) rows of rank-ordered final tokens, each word read
+    from its pph.  0.0 - cost, not -cost: a zero cost scores 0.0, never -0.0."""
+    return [(decode_pph(lexhmm.automaton, lexhmm.suff, p), p, 0.0 - c) for c, p, *_ in top]
+
+
+def viterbi_flipflop(lexhmm: LexiconHMM, obs) -> DecodeResult:
+    """1-best token passing with two flip-flop arrays (2N token slots)."""
+    n_states = lexhmm.n_states
+    res = DecodeResult(token_slots=2 * n_states)
+    src, dst = _tokens(n_states, start=True), _tokens(n_states)
+    for symbol in obs:
+        res.ops += _step(lexhmm, symbol, range(n_states), src, dst)
+        src, dst = dst, src
+    res.ranking = _ranking(lexhmm, _best_final(lexhmm, src))
+    return res
+
+
+def viterbi_inplace(lexhmm: LexiconHMM, obs) -> DecodeResult:
+    """1-best with a single token array (N slots), scanned in reverse
+    topological order so each predecessor is read before being overwritten."""
+    n_states = lexhmm.n_states
+    res = DecodeResult(token_slots=n_states)
+    tokens = _tokens(n_states, start=True)
+    for symbol in obs:
+        res.ops += _step(lexhmm, symbol, range(n_states - 1, -1, -1), tokens, tokens)
+    res.ranking = _ranking(lexhmm, _best_final(lexhmm, tokens))
+    return res
+
+
+def viterbi_tabular(lexhmm: LexiconHMM, obs) -> DecodeResult:
+    """Reference 1-best: full T x N lattice with maximizing predecessors,
+    winner recovered by backtracking (N*T token slots)."""
+    n_states = lexhmm.n_states
+    res = DecodeResult(token_slots=n_states * len(obs))
+    # lattice[t] holds the tokens after t frames; lattice[0] is the start.
+    lattice = [_tokens(n_states, start=True)] + [_tokens(n_states) for _ in obs]
+    back = [[START] * n_states for _ in obs]
+    for t, symbol in enumerate(obs):
+        res.ops += _step(lexhmm, symbol, range(n_states), lattice[t], lattice[t + 1], back[t])
+    top = _best_final(lexhmm, lattice[-1])
+    if not top:
+        return res
+    cost, pph, j = top[0]
+    # Backtrack the state path and spell the word from its node visits.
+    nodes = []
+    for row in reversed(back):
+        nodes.append(lexhmm.state_node[j])
+        j = row[j]
+    word = "".join(lexhmm.automaton.labels[node] for node, _ in groupby(reversed(nodes)))
+    res.ranking = [(word, pph, 0.0 - cost)]
+    return res
+
+
+# --- n-best ----------------------------------------------------------------
+
+
 def _nbest(lexhmm: LexiconHMM, obs, n: int, merge_state) -> DecodeResult:
     """n-best token passing.  Each frame, merge_state(prev, preds[j], b, n,
     res) builds state j's sorted token list, emission b added, from its
@@ -207,17 +198,20 @@ def _nbest(lexhmm: LexiconHMM, obs, n: int, merge_state) -> DecodeResult:
     """
     if n < 1:
         raise DecodeError("n must be >= 1")
-    res = DecodeResult(token_slots=2 * lexhmm.n_states * n)
+    res = DecodeResult()
     # START (-1) reads the trailing list: one token for the first frame only.
     prev: list = [[] for _ in lexhmm.preds] + [[(0.0, 0)]]
+    held = 0  # tokens in prev, START's left out
     for symbol in obs:
         si = _symbol_index(lexhmm, symbol)
         prev = [merge_state(prev, p, row[si], n, res)
                 for p, row in zip(lexhmm.preds, lexhmm.emit_rows)]
+        now = sum(map(len, prev))
+        res.token_slots = max(res.token_slots, held + now)  # both frames alive
+        held = now
         prev.append([])
-    top = _top_n([(c, p + dpph) for f, dpph in lexhmm.finals for c, p in prev[f]], n)
-    # 0.0 - c, not -c: a zero cost scores 0.0, never -0.0.
-    res.ranking = [(decode_pph(lexhmm.automaton, lexhmm.suff, p), p, 0.0 - c) for c, p in top]
+    res.ranking = _ranking(lexhmm, _top_n(
+        [(c, p + dpph) for f, dpph in lexhmm.finals for c, p in prev[f]], n))
     return res
 
 

@@ -67,8 +67,6 @@ class HmmConfig:
 class LetterHMM:
     """Left-to-right letter model with cached log scores."""
 
-    letter: str
-    symbols: tuple[str, ...]
     log_self: float
     log_forward: float
     log_emissions: tuple[tuple[float, ...], ...]  # one row per state
@@ -95,8 +93,6 @@ def make_letter_hmm(letter: str, config: HmmConfig) -> LetterHMM:
         for sym in config.alphabet
     )
     return LetterHMM(
-        letter=letter,
-        symbols=config.alphabet,
         log_self=_log(config.self_loop_prob),
         log_forward=_log(1.0 - config.self_loop_prob),
         log_emissions=tuple(row for _ in range(config.states_per_letter)),

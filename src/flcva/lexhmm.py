@@ -5,7 +5,7 @@ cross-node transitions, its states numbered in topological order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .automaton import NodeAutomaton, build_trie, Lexicon
@@ -35,13 +35,8 @@ class LexiconHMM:
     state_node: tuple[int, ...]
     preds: tuple
     emit_rows: tuple
-    symbols: tuple[str, ...]
     finals: tuple
-    symbol_index: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.symbol_index:
-            self.symbol_index = {s: i for i, s in enumerate(self.symbols)}
+    symbol_index: dict
 
     @property
     def n_states(self) -> int:
@@ -60,69 +55,56 @@ def expand(
     0.0, sink arcs mark final states.  Every transition score is read from
     the letter models; a cross-node transition scores its source letter's
     forward step and carries the arc's path-index increment.
+
+    One walk in topological order lays out the states: every predecessor
+    of a node comes before it, so the node's entry list is complete when
+    the walk reaches it.
     """
     if len(increments) != automaton.node_count:
         raise ExpansionError("automaton is not annotated with increments")
     s_per = config.states_per_letter
-    emitting = sorted(
-        (n for n in range(automaton.node_count)
-         if n not in (automaton.root, automaton.sink)),
-        key=lambda n: automaton.topo_index[n],
-    )
-    for node in emitting:
-        if automaton.labels[node] not in letter_hmms:
-            raise ExpansionError(f"no letter model for {automaton.labels[node]!r}")
-    base = {node: i * s_per for i, node in enumerate(emitting)}
-
-    # Incoming cross-node transitions, collected in topological arc order.
-    entry_preds: dict[int, list] = {node: [] for node in emitting}
+    labels = automaton.labels
+    entries: list = [[] for _ in labels]  # incoming cross-node transitions
     finals: list = []
-    for x in sorted(range(automaton.node_count), key=lambda n: automaton.topo_index[n]):
+    state_node: list[int] = []
+    emit_rows: list = []
+    preds: list = []
+    for x in sorted(range(automaton.node_count), key=automaton.topo_index.__getitem__):
         if x == automaton.sink:
             continue
         if x == automaton.root:
-            src_state, cross_w = START, 0.0
+            exit_state, cross_w = START, 0.0
         else:
-            src_state = base[x] + s_per - 1
-            cross_w = letter_hmms[automaton.labels[x]].log_forward
-        for pos, y in enumerate(automaton.succs[x]):
-            dpph = increments[x][pos]
+            hmm = letter_hmms.get(labels[x])
+            if hmm is None:
+                raise ExpansionError(f"no letter model for {labels[x]!r}")
+            first = len(preds)
+            for k in range(s_per):
+                state_node.append(x)
+                emit_rows.append(hmm.log_emissions[k])
+                lst = entries[x] if k == 0 else [(first + k - 1, hmm.log_forward, 0)]
+                lst.append((first + k, hmm.log_self, 0))
+                preds.append(tuple(lst))
+            exit_state, cross_w = len(preds) - 1, hmm.log_forward
+        for y, dpph in zip(automaton.succs[x], increments[x]):
             if y == automaton.sink:
                 # no forward-release score on exit: letter models built from
                 # one config give every word the same one, and keeping the
                 # final score equal to the token score makes the tie-break
                 # order identical at every comparison point regardless of
                 # rounding
-                finals.append((src_state, dpph))
+                finals.append((exit_state, dpph))
             else:
-                entry_preds[y].append((src_state, cross_w, dpph))
+                entries[y].append((exit_state, cross_w, dpph))
 
-    state_node: list[int] = []
-    emit_rows: list = []
-    preds: list = []
-    for node in emitting:
-        hmm = letter_hmms[automaton.labels[node]]
-        for k in range(s_per):
-            j = base[node] + k
-            state_node.append(node)
-            emit_rows.append(hmm.log_emissions[k])
-            lst: list = []
-            if k == 0:
-                lst.extend(entry_preds[node])
-            else:
-                lst.append((j - 1, hmm.log_forward, 0))
-            lst.append((j, hmm.log_self, 0))
-            preds.append(tuple(lst))
-
-    suff = compute_suff(automaton)
     return LexiconHMM(
         automaton=automaton,
-        suff=suff,
+        suff=compute_suff(automaton),
         state_node=tuple(state_node),
         preds=tuple(preds),
         emit_rows=tuple(emit_rows),
-        symbols=config.alphabet,
         finals=tuple(finals),
+        symbol_index={s: i for i, s in enumerate(config.alphabet)},
     )
 
 

@@ -70,13 +70,17 @@ def test_onehot_single_c(toy_lexhmm_onehot):
 
 
 def test_unmatchable_symbol_gives_empty_ranking(toy_annotated):
-    # 'z' is a legal observation symbol that no letter can emit one-hot.
+    # 'z' is a legal observation symbol that no letter can emit one-hot, and
+    # at two states per letter one frame is shorter than every word, 'c' too.
     dawg, _suff, inc = toy_annotated
-    cfg = onehot_config(alphabet="abcdz")
-    hmms = make_letter_hmms("abcd", cfg)
-    lexhmm = expand(dawg, inc, hmms, cfg)
-    for fn in (viterbi_tabular, viterbi_flipflop, viterbi_inplace):
-        assert fn(lexhmm, ["z"]).ranking == []
+    for states, obs in ((1, ["z"]), (2, ["c"])):
+        cfg = onehot_config(states=states, alphabet="abcdz")
+        lexhmm = expand(dawg, inc, make_letter_hmms("abcd", cfg), cfg)
+        for fn in (viterbi_tabular, viterbi_flipflop, viterbi_inplace):
+            assert fn(lexhmm, obs).ranking == []
+        for fn in (nbest_naive, nbest_improved):
+            for n in (1, dawg.word_count):
+                assert fn(lexhmm, obs, n).ranking == []
 
 
 def test_unknown_symbol_raises(toy_lexhmm_onehot):
@@ -237,6 +241,8 @@ def test_all_words_tokens_held_bounded_by_trie_states(merge):
     obs = list("abcdefghijabcdef")
     result = _nbest(lexhmm, obs, lex.word_count, counting)
     assert len(held) == len(obs)
+    # token_slots: the peak over frames of the previous and new frame's tokens
+    assert result.token_slots == max(a + b for a, b in zip([0] + held, held))
     assert max(held) <= bound
     assert held[-1] == bound
     assert len(result.ranking) == lex.word_count
