@@ -10,7 +10,7 @@ and the oracle are bit-comparable.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -28,7 +28,7 @@ class DecodeResult:
     """Ranked (word, path index, log score) rows plus instrumentation."""
 
     ranking: list = field(default_factory=list)
-    ops: int = 0            # predecessor visits in the inner loop
+    ops: int = 0            # 1-best: predecessor visits; n-best: candidate tokens read
     merges: int = 0         # token-list merge operations
     token_slots: int = 0    # peak token storage (n-best: tokens alive)
     emission_adds: int = 0  # emission log-prob additions
@@ -195,9 +195,13 @@ def _nbest(lexhmm: LexiconHMM, obs, n: int, merge_state) -> DecodeResult:
 
     Tokens are (cost, pph) with cost = -score, so plain tuple order is rank
     order.  Negation is exact, so every score equals its max-plus value.
+    n = 1 runs the 1-best kernel instead, counters and all: both break score
+    ties toward the smaller pph, so its one token is the rank-1 token.
     """
     if n < 1:
         raise DecodeError("n must be >= 1")
+    if n == 1:
+        return viterbi_inplace(lexhmm, obs)
     res = DecodeResult()
     # START (-1) reads the trailing list: one token for the first frame only.
     prev: list = [[] for _ in lexhmm.preds] + [[(0.0, 0)]]
@@ -236,40 +240,53 @@ def _merge_naive(prev: list, preds_j, b: float, n: int, res: DecodeResult) -> li
 
 
 def _merge_improved(prev: list, preds_j, b: float, n: int, res: DecodeResult) -> list:
+    # The predecessors with a token left to read: (token list, log_a, dpph).
+    live = []
+    for i, log_a, dpph in preds_j:
+        src = prev[i]
+        if src and log_a != NEG_INF:
+            live.append((src, log_a, dpph))
+    if not live:
+        return []
     lst: list = []
-    merges = 0
+    held: dict = {}  # pph -> cost of the token lst holds for it
+    reads = merges = 0
     for k in range(n):
-        for i, log_a, dpph in preds_j:
-            src = prev[i]
-            if k >= len(src) or log_a == NEG_INF:
-                continue
+        reads += len(live)
+        kept = []
+        for entry in live:
+            src, log_a, dpph = entry
             c0, p0 = src[k]
             c = c0 - log_a
             if len(lst) == n:
-                # Quick reject against the current worst token; the
-                # path index is computed only when it can matter.
+                # Quick reject against the current worst token; the path
+                # index is computed only when it can matter.  src is in
+                # rank order and a full lst's worst token never gets worse,
+                # so src's deeper tokens would be rejected too: drop it.
                 lc, lp = lst[-1]
                 if c > lc or (c == lc and p0 + dpph >= lp):
                     continue
+            if k + 1 < len(src):
+                kept.append(entry)
             merges += 1
             p = p0 + dpph
-            # A token whose pph is already held replaces it only if better.
-            held = False
-            for idx, (hc, hp) in enumerate(lst):
-                if hp == p:
-                    if c < hc:
-                        del lst[idx]
-                    else:
-                        held = True
-                    break
-            if held:
-                continue
+            # A token whose pph is already held replaces it only if better;
+            # lst is sorted, so the held token is found by bisection.
+            hc = held.get(p)
+            if hc is not None:
+                if c >= hc:
+                    continue
+                del lst[bisect_left(lst, (hc, p))]
             # The merge window starts at rank k: earlier ranks are final.
-            pos = bisect_right(lst, (c, p), k)
-            if pos < n:
-                lst.insert(pos, (c, p))
-                del lst[n:]
-    res.ops += n * len(preds_j)  # every predecessor is visited at every rank
+            # Past the quick reject the token always lands within the n best.
+            insort(lst, (c, p), k)
+            held[p] = c
+            if len(lst) > n:
+                del held[lst.pop()[1]]
+        live = kept
+        if not live:
+            break
+    res.ops += reads
     res.merges += merges
     if b == NEG_INF:
         return []
@@ -286,7 +303,9 @@ def nbest_naive(lexhmm: LexiconHMM, obs, n: int) -> DecodeResult:
 def nbest_improved(lexhmm: LexiconHMM, obs, n: int) -> DecodeResult:
     """n-best with improved merging: rank-outer/predecessor-inner loop order,
     merge window restricted to the k-th element onward, path-index update
-    only on merged tokens, emission added once per surviving token."""
+    only on merged tokens, emission added once per surviving token.  A
+    predecessor leaves the loop once its tokens run out or one of them fails
+    the quick reject, so each state reads at most the tokens naive reads."""
     return _nbest(lexhmm, obs, n, _merge_improved)
 
 

@@ -101,6 +101,12 @@ def run_verify(lexicon: Lexicon, config: HmmConfig, instances: int, seed: int) -
                 failure=f"improved merges {improved.merges} > naive {naive.merges} "
                         f"({replay})",
             )
+        checks += 1
+        if improved.ops > naive.ops:
+            return VerifyReport(
+                False, inst, checks,
+                failure=f"improved ops {improved.ops} > naive {naive.ops} ({replay})",
+            )
 
     warning = "no randomized instances were run" if instances == 0 else None
     return VerifyReport(True, instances, checks, warning=warning)

@@ -143,23 +143,32 @@ def test_criterion_5_nbest_correctness():
         exact = nbest_exhaustive(lex, hmms, cfg, obs, n)
         assert naive.ranking == improved.ranking == exact, f"toy n={n}"
         assert improved.merges <= naive.merges
-    # randomized instances, n = 1..5
+        assert improved.ops <= naive.ops
+    # randomized instances, n = 1..5, then all words: n = W
     for seed in range(100):
         lex, cfg, lexhmm, hmms, obs = _random_instance(seed + 5000)
-        n = (seed % 5) + 1
-        naive = nbest_naive(lexhmm, obs, n)
-        improved = nbest_improved(lexhmm, obs, n)
-        exact = nbest_exhaustive(lex, hmms, cfg, obs, n)
-        assert naive.ranking == improved.ranking == exact, f"seed {seed} n={n}"
-        assert improved.merges <= naive.merges, f"seed {seed} n={n}"
-        # all words: n = W
-        w = lex.word_count
-        exact = nbest_exhaustive(lex, hmms, cfg, obs, w)
-        assert nbest_naive(lexhmm, obs, w).ranking == exact, f"seed {seed} n=W"
-        assert nbest_improved(lexhmm, obs, w).ranking == exact, f"seed {seed} n=W"
+        for n in ((seed % 5) + 1, lex.word_count):
+            naive = nbest_naive(lexhmm, obs, n)
+            improved = nbest_improved(lexhmm, obs, n)
+            exact = nbest_exhaustive(lex, hmms, cfg, obs, n)
+            assert naive.ranking == improved.ranking == exact, f"seed {seed} n={n}"
+            assert improved.merges <= naive.merges, f"seed {seed} n={n}"
+            assert improved.ops <= naive.ops, f"seed {seed} n={n}"
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     _report("criterion 5 (n-best correctness)", elapsed, "toy + 100 instances at n and W")
+
+
+def test_criterion_5_nbest_n1_is_1best():
+    # n = 1 is the 1-best kernel: same ranking and every counter.
+    instances = [(["a"] * 3, _lexhmm_for(Lexicon.from_words(TOY_WORDS), uniform_config())[0])]
+    for seed in range(100):
+        _lex, _cfg, lexhmm, _hmms, obs = _random_instance(seed + 5000)
+        instances.append((obs, lexhmm))
+    for obs, lexhmm in instances:
+        one = viterbi_inplace(lexhmm, obs)
+        assert nbest_naive(lexhmm, obs, 1) == one
+        assert nbest_improved(lexhmm, obs, 1) == one
 
 
 def test_criterion_6_work_scaling():

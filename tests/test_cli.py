@@ -126,13 +126,22 @@ def test_decode_nbest_all_ranks_every_word(toy_paths, capsys, variant):
     main(["build", str(wordlist), str(auto), "--dawg"])
     obs.write_text("a a a\n")
     capsys.readouterr()
-    assert main(["decode", str(auto), str(config), str(obs),
-                 "--variant", variant, "--nbest", "all"]) == 0
-    rows = capsys.readouterr().out.splitlines()[:-1]  # the trailer is last
+
+    def decode(v):
+        """The rank rows and the trailer's counters of one decode run."""
+        assert main(["decode", str(auto), str(config), str(obs),
+                     "--variant", v, "--nbest", "all"]) == 0
+        *rows, trailer = capsys.readouterr().out.splitlines()
+        return rows, dict(field.split("=") for field in trailer.removeprefix("# ").split())
+
+    rows = decode(variant)[0]
     lex = Lexicon.from_words(TOY_WORDS)
     exact = nbest_exhaustive(lex, make_letter_hmms("abcd", cfg), cfg, ["a"] * 3, lex.word_count)
     assert len(exact) == lex.word_count
     assert rows == format_result(DecodeResult(ranking=exact)).splitlines()[:-1]
+    naive, improved = (decode(v)[1] for v in ("nbest-naive", "nbest-improved"))
+    assert int(improved["merges"]) <= int(naive["merges"])
+    assert int(improved["ops"]) <= int(naive["ops"])
 
 
 def test_decode_empty_obs(toy_paths, capsys):

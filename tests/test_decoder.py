@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from flcva import (
     DecodeError,
+    DecodeResult,
     HmmConfig,
     build_dawg,
     decode_pph,
@@ -23,7 +25,7 @@ from flcva import (
     viterbi_tabular,
 )
 from flcva.decode import _merge_improved, _merge_naive, _nbest, _top_n
-from flcva.hmm import quantize_log
+from flcva.hmm import NEG_INF, quantize_log
 from flcva.pph import annotate_increments, compute_suff
 from flcva.synth import random_lexicon, synthetic_lexicon
 
@@ -151,7 +153,6 @@ def _insert_capped(lst, tok, n):
 def test_bellman_consistency():
     # rank-1 token at every state and time equals the tabular lattice value.
     _lex, lexhmm, _hmms, _cfg, obs = _instance(99)
-    from flcva.hmm import NEG_INF
     from flcva.lexhmm import START
 
     n = lexhmm.n_states
@@ -210,6 +211,88 @@ def test_top_n_equals_sequential_capped_insert(cands, data):
     for tok in cands:
         _insert_capped(expected, tok, n)
     assert _top_n(list(cands), n) == expected
+
+
+def _merge_every_rank(prev, preds_j, b, n, res):
+    """Reference improved merge: every predecessor at every rank, held pphs
+    found by a linear scan.  ops counts n visits per predecessor."""
+    lst = []
+    merges = 0
+    for k in range(n):
+        for i, log_a, dpph in preds_j:
+            src = prev[i]
+            if k >= len(src) or log_a == NEG_INF:
+                continue
+            c0, p0 = src[k]
+            c = c0 - log_a
+            if len(lst) == n:
+                lc, lp = lst[-1]
+                if c > lc or (c == lc and p0 + dpph >= lp):
+                    continue
+            merges += 1
+            p = p0 + dpph
+            held = False
+            for idx, (hc, hp) in enumerate(lst):
+                if hp == p:
+                    if c < hc:
+                        del lst[idx]
+                    else:
+                        held = True
+                    break
+            if held:
+                continue
+            pos = bisect_right(lst, (c, p), k)
+            if pos < n:
+                lst.insert(pos, (c, p))
+                del lst[n:]
+    res.ops += n * len(preds_j)
+    res.merges += merges
+    if b == NEG_INF:
+        return []
+    res.emission_adds += len(lst)
+    return [(c - b, p) for c, p in lst]
+
+
+_log_probs = st.one_of(st.just(NEG_INF), _grid_costs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(  # one predecessor: its candidate tokens, log_a and dpph
+            st.lists(st.tuples(_grid_costs, st.integers(0, 5)), max_size=8),
+            _log_probs,
+            st.integers(0, 3),
+        ),
+        max_size=6,
+    ),
+    _log_probs,
+    st.data(),
+)
+def test_merge_improved_equals_every_rank_merge(preds, b, data):
+    # Each predecessor's list is sorted with one token per pph, as the
+    # decoder holds it; small pphs and dpphs make p0 + dpph collide.
+    prev = [_top_n(list(toks), len(toks)) for toks, _log_a, _dpph in preds]
+    preds_j = [(i, log_a, dpph) for i, (_toks, log_a, dpph) in enumerate(preds)]
+    n = data.draw(st.integers(1, sum(map(len, prev)) + 1))
+    ref, improved, naive = DecodeResult(), DecodeResult(), DecodeResult()
+    expected = _merge_every_rank(prev, preds_j, b, n, ref)
+    assert _merge_improved(prev, preds_j, b, n, improved) == expected
+    assert (improved.merges, improved.emission_adds) == (ref.merges, ref.emission_adds)
+    assert improved.ops <= ref.ops
+    assert _merge_naive(prev, preds_j, b, n, naive) == expected
+    assert improved.ops <= naive.ops
+
+
+def test_merge_improved_readmits_a_pph_it_pushed_out():
+    # n = 1: (3, pph 1) is pushed out by (1, pph 2), then pph 1 comes back
+    # from a third predecessor at cost 0 and must take the list.
+    g = 2.0**-32
+    prev = [[(3 * g, 1)], [(1 * g, 2)], [(0.0, 1)]]
+    preds_j = [(i, 0.0, 0) for i in range(3)]
+    res = DecodeResult()
+    assert _merge_improved(prev, preds_j, 0.0, 1, res) == [(0.0, 1)]
+    assert (res.ops, res.merges) == (3, 3)
 
 
 @pytest.mark.parametrize("merge", [_merge_naive, _merge_improved], ids=["naive", "improved"])
