@@ -68,7 +68,7 @@ def run_bench(
     for name, auto in structures:
         increments = annotate_increments(auto, compute_suff(auto))
         lexhmm = expand(auto, increments, letter_hmms, config)
-        mean_preds = sum(len(p) for p in lexhmm.preds) / lexhmm.n_states
+        mean_preds = lexhmm.n_arcs / lexhmm.n_states
         for variant, fn in _VARIANTS:
             ops = 0
             token_slots = 0

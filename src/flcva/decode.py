@@ -2,21 +2,28 @@
 
 Variants: tabular (full lattice + backtracking, the reference), flip-flop
 (two token arrays), in-place (single array, reverse topological scan), and
-n-best with naive and improved merging.  Tokens carry a log score (n-best
-tokens its negation, the cost) and an integer path-history index; ties on
-score are broken toward the smaller path index everywhere, so all variants
-and the oracle are bit-comparable.
+n-best with naive and improved merging.  A token is one int,
+`cost << pph_bits | pph`: cost is the path's negated log score in 2^-32
+grid units and pph its path-history index (see LexiconHMM).  Int order is
+rank order, ties on score broken toward the smaller path index, so every
+variant picks its winners with plain int compares and sorts, and all
+variants and the oracle are bit-comparable.  Adding a packed transition or
+emission to a token adds costs and pphs separately; math.inf is the dead
+token, and stays dead under every addition.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from itertools import groupby
 
-from .hmm import NEG_INF
+from .hmm import grid_score
 from .lexhmm import START, LexiconHMM
 from .pph import decode_pph
+
+INF = math.inf
 
 
 class DecodeError(ValueError):
@@ -54,87 +61,85 @@ def _symbol_index(lexhmm: LexiconHMM, symbol: str) -> int:
         raise DecodeError(f"observation symbol {symbol!r} not in alphabet") from None
 
 
-def _tokens(n_states: int, start: bool = False) -> tuple[list, list]:
-    """Score and pph arrays for n_states tokens plus a trailing START slot.
+def _tokens(n_states: int, start: bool = False) -> list:
+    """Tokens for n_states states plus a trailing START slot, all dead.
 
     START is -1, so preds entries naming START read the trailing slot and
-    the relaxation needs no special case for it.  The START token scores
-    0.0 before the first frame and -inf afterwards.
+    the relaxation needs no special case for it.  The START token is 0
+    (score 0.0, pph 0) before the first frame and dead afterwards.
     """
-    scores = [NEG_INF] * (n_states + 1)
+    tokens = [INF] * (n_states + 1)
     if start:
-        scores[START] = 0.0
-    return scores, [0] * (n_states + 1)
+        tokens[START] = 0
+    return tokens
 
 
-def _step(lexhmm: LexiconHMM, symbol: str, order, src, dst, back=None) -> int:
-    """One frame of max-plus relaxation; returns the predecessor visits.
+def _step(lexhmm: LexiconHMM, symbol: str, src, dst, reverse: bool = False) -> int:
+    """One frame of min-plus relaxation; returns the predecessor visits.
 
-    For each state j in order, the best source token over preds[j] (score
-    plus log transition, ties to the smaller pph) gets the arc's pph
-    increment and j's emission, and is written to dst; back[j] records the
-    winning predecessor.  src and dst may be the same arrays when order
-    visits every state after all of its successors, so that no token is
-    overwritten before it has been read.
-    A -inf candidate never wins: it is not above the initial -inf, and no
-    pph is below the initial 0, so a dead state keeps pph 0 and START.
+    For each state j, the least source token plus transition over preds[j]
+    (the best score, ties to the smaller pph) gets j's emission and is
+    written to dst; a strict compare keeps the first such predecessor.
+    States are visited in topological order, or in reverse when src and dst
+    are the same array: then every state is visited after all of its
+    successors, so no token is overwritten before it has been read.
     """
     si = _symbol_index(lexhmm, symbol)
-    preds = lexhmm.preds
-    emit_rows = lexhmm.emit_rows
-    src_s, src_p = src
-    dst_s, dst_p = dst
-    ops = 0
-    for j in order:
-        best_s = NEG_INF
-        best_p = 0
-        best_i = START
-        ops += len(preds[j])
-        for i, log_a, dpph in preds[j]:
-            cand_s = src_s[i] + log_a
-            if cand_s > best_s or (cand_s == best_s and src_p[i] + dpph < best_p):
-                best_s = cand_s
-                best_p = src_p[i] + dpph
-                best_i = i
-        dst_s[j] = best_s + emit_rows[j][si]
-        dst_p[j] = best_p
-        if back is not None:
-            back[j] = best_i
-    src_s[START] = NEG_INF  # START feeds the first frame only
-    return ops
+    n_states, preds, emit_rows = lexhmm.n_states, lexhmm.preds, lexhmm.emit_rows
+    if reverse:
+        states = zip(range(n_states - 1, -1, -1), reversed(preds), reversed(emit_rows))
+    else:
+        states = zip(range(n_states), preds, emit_rows)
+    for j, preds_j, row in states:
+        best = INF
+        for i, w in preds_j:
+            c = src[i] + w
+            if c < best:
+                best = c
+        dst[j] = best + row[si]
+    src[START] = INF  # START feeds the first frame only
+    return lexhmm.n_arcs
 
 
-def _top_n(cands: list, n: int) -> list:
-    """The n best (cost, pph, ...) tokens of cands, one per pph, in rank order.
+def _top_n(cands: list, n: int, mask: int) -> list:
+    """The n best tokens of cands, one per pph (k & mask), in rank order.
 
-    Tuple order is rank order (lower cost first, ties to the smaller pph),
-    so one sort ranks every candidate and the first token seen of each pph
-    is that path's best.  Sorts cands in place.
+    Int order is rank order, so one sort ranks every candidate and the
+    first token seen of each pph is that path's best.  Sorts cands in place.
     """
     cands.sort()
     kept: list = []
     seen: set = set()
-    for tok in cands:
-        if tok[1] not in seen:
-            seen.add(tok[1])
-            kept.append(tok)
+    for k in cands:
+        p = k & mask
+        if p not in seen:
+            seen.add(p)
+            kept.append(k)
             if len(kept) == n:
                 break
     return kept
 
 
 def _best_final(lexhmm: LexiconHMM, tokens) -> list:
-    """The best live token after the sink arcs as [(cost, pph, exit state)],
-    ranked like the n-best tokens; [] when no final state holds one."""
-    score, pph = tokens
-    return _top_n([(0.0 - score[f], pph[f] + dpph, f)
-                   for f, dpph in lexhmm.finals if score[f] != NEG_INF], 1)
+    """The best live token after the sink arcs as [(token, exit state)],
+    equal tokens to the smaller exit state; [] when no final state holds one."""
+    live = [(tokens[f] + dpph, f) for f, dpph in lexhmm.finals if tokens[f] != INF]
+    return [min(live)] if live else []
 
 
-def _ranking(lexhmm: LexiconHMM, top: list) -> list:
+def _unpack(lexhmm: LexiconHMM, token: int) -> tuple[int, float]:
+    """(pph, log score) of a live token."""
+    return token & ((1 << lexhmm.pph_bits) - 1), grid_score(token >> lexhmm.pph_bits)
+
+
+def _ranking(lexhmm: LexiconHMM, top) -> list:
     """(word, pph, score) rows of rank-ordered final tokens, each word read
-    from its pph.  0.0 - cost, not -cost: a zero cost scores 0.0, never -0.0."""
-    return [(decode_pph(lexhmm.automaton, lexhmm.suff, p), p, 0.0 - c) for c, p, *_ in top]
+    from its pph."""
+    rows = []
+    for token in top:
+        pph, score = _unpack(lexhmm, token)
+        rows.append((decode_pph(lexhmm.automaton, lexhmm.suff, pph), pph, score))
+    return rows
 
 
 def viterbi_flipflop(lexhmm: LexiconHMM, obs) -> DecodeResult:
@@ -143,9 +148,9 @@ def viterbi_flipflop(lexhmm: LexiconHMM, obs) -> DecodeResult:
     res = DecodeResult(token_slots=2 * n_states)
     src, dst = _tokens(n_states, start=True), _tokens(n_states)
     for symbol in obs:
-        res.ops += _step(lexhmm, symbol, range(n_states), src, dst)
+        res.ops += _step(lexhmm, symbol, src, dst)
         src, dst = dst, src
-    res.ranking = _ranking(lexhmm, _best_final(lexhmm, src))
+    res.ranking = _ranking(lexhmm, [k for k, _f in _best_final(lexhmm, src)])
     return res
 
 
@@ -156,32 +161,36 @@ def viterbi_inplace(lexhmm: LexiconHMM, obs) -> DecodeResult:
     res = DecodeResult(token_slots=n_states)
     tokens = _tokens(n_states, start=True)
     for symbol in obs:
-        res.ops += _step(lexhmm, symbol, range(n_states - 1, -1, -1), tokens, tokens)
-    res.ranking = _ranking(lexhmm, _best_final(lexhmm, tokens))
+        res.ops += _step(lexhmm, symbol, tokens, tokens, reverse=True)
+    res.ranking = _ranking(lexhmm, [k for k, _f in _best_final(lexhmm, tokens)])
     return res
 
 
 def viterbi_tabular(lexhmm: LexiconHMM, obs) -> DecodeResult:
-    """Reference 1-best: full T x N lattice with maximizing predecessors,
-    winner recovered by backtracking (N*T token slots)."""
+    """Reference 1-best: full T x N lattice, winner recovered by
+    backtracking (N*T token slots)."""
     n_states = lexhmm.n_states
     res = DecodeResult(token_slots=n_states * len(obs))
     # lattice[t] holds the tokens after t frames; lattice[0] is the start.
     lattice = [_tokens(n_states, start=True)] + [_tokens(n_states) for _ in obs]
-    back = [[START] * n_states for _ in obs]
     for t, symbol in enumerate(obs):
-        res.ops += _step(lexhmm, symbol, range(n_states), lattice[t], lattice[t + 1], back[t])
+        res.ops += _step(lexhmm, symbol, lattice[t], lattice[t + 1])
     top = _best_final(lexhmm, lattice[-1])
     if not top:
         return res
-    cost, pph, j = top[0]
-    # Backtrack the state path and spell the word from its node visits.
-    nodes = []
-    for row in reversed(back):
+    token, j = top[0]
+    # Backtrack the state path and spell the word from its node visits.  A
+    # frame's winning predecessor is the first whose token plus transition
+    # gives the token before emission: the one _step kept.  The first
+    # frame's predecessor is START, which spells nothing.
+    nodes = [lexhmm.state_node[j]]
+    for t in range(len(obs) - 1, 0, -1):
+        before = lattice[t + 1][j] - lexhmm.emit_rows[j][lexhmm.symbol_index[obs[t]]]
+        src = lattice[t]
+        j = next(i for i, w in lexhmm.preds[j] if src[i] + w == before)
         nodes.append(lexhmm.state_node[j])
-        j = row[j]
     word = "".join(lexhmm.automaton.labels[node] for node, _ in groupby(reversed(nodes)))
-    res.ranking = [(word, pph, 0.0 - cost)]
+    res.ranking = [(word, *_unpack(lexhmm, token))]
     return res
 
 
@@ -189,12 +198,11 @@ def viterbi_tabular(lexhmm: LexiconHMM, obs) -> DecodeResult:
 
 
 def _nbest(lexhmm: LexiconHMM, obs, n: int, merge_state) -> DecodeResult:
-    """n-best token passing.  Each frame, merge_state(prev, preds[j], b, n,
-    res) builds state j's sorted token list, emission b added, from its
-    predecessors' lists in prev, and adds its work to res's counters.
+    """n-best token passing.  Each frame, merge_state(prev, preds[j], e, n,
+    mask, res) builds state j's sorted token list, emission e added, from
+    its predecessors' lists in prev, keeping one token per pph (token &
+    mask), and adds its work to res's counters.
 
-    Tokens are (cost, pph) with cost = -score, so plain tuple order is rank
-    order.  Negation is exact, so every score equals its max-plus value.
     n = 1 runs the 1-best kernel instead, counters and all: both break score
     ties toward the smaller pph, so its one token is the rank-1 token.
     """
@@ -203,95 +211,111 @@ def _nbest(lexhmm: LexiconHMM, obs, n: int, merge_state) -> DecodeResult:
     if n == 1:
         return viterbi_inplace(lexhmm, obs)
     res = DecodeResult()
+    mask = (1 << lexhmm.pph_bits) - 1
     # START (-1) reads the trailing list: one token for the first frame only.
-    prev: list = [[] for _ in lexhmm.preds] + [[(0.0, 0)]]
+    prev: list = [[] for _ in lexhmm.preds] + [[0]]
     held = 0  # tokens in prev, START's left out
     for symbol in obs:
         si = _symbol_index(lexhmm, symbol)
-        prev = [merge_state(prev, p, row[si], n, res)
+        prev = [merge_state(prev, p, row[si], n, mask, res)
                 for p, row in zip(lexhmm.preds, lexhmm.emit_rows)]
         now = sum(map(len, prev))
         res.token_slots = max(res.token_slots, held + now)  # both frames alive
         held = now
         prev.append([])
     res.ranking = _ranking(lexhmm, _top_n(
-        [(c, p + dpph) for f, dpph in lexhmm.finals for c, p in prev[f]], n))
+        [k + dpph for f, dpph in lexhmm.finals for k in prev[f]], n, mask))
     return res
 
 
-def _merge_naive(prev: list, preds_j, b: float, n: int, res: DecodeResult) -> list:
+def _merge_naive(prev: list, preds_j, e, n: int, mask: int, res: DecodeResult) -> list:
     cands: list = []
     append = cands.append
     visits = adds = 0
-    live = b != NEG_INF  # a -inf emission kills every candidate, still counted
-    for i, log_a, dpph in preds_j:
+    live = e != INF  # a dead emission kills every candidate, still counted
+    for i, w in preds_j:
         src = prev[i]
-        visits += len(src)
-        if log_a == NEG_INF:
-            continue
-        adds += len(src)
-        if live:
-            for c0, p0 in src:
-                append(((c0 - log_a) - b, p0 + dpph))
+        if src:
+            visits += len(src)
+            if w != INF:
+                adds += len(src)
+                if live:
+                    we = w + e
+                    for k in src:
+                        append(k + we)
+    if not visits:
+        return cands
     res.ops += visits
     res.merges += visits
     res.emission_adds += adds
-    return _top_n(cands, n)
+    return _top_n(cands, n, mask) if len(cands) > 1 else cands
 
 
-def _merge_improved(prev: list, preds_j, b: float, n: int, res: DecodeResult) -> list:
-    # The predecessors with a token left to read: (token list, log_a, dpph).
+def _merge_improved(prev: list, preds_j, e, n: int, mask: int, res: DecodeResult) -> list:
+    # The predecessors with a token left to read: (token list, transition).
     live = []
-    for i, log_a, dpph in preds_j:
+    total = 0
+    for i, w in preds_j:
         src = prev[i]
-        if src and log_a != NEG_INF:
-            live.append((src, log_a, dpph))
+        if src and w != INF:
+            live.append((src, w))
+            total += len(src)
     if not live:
         return []
+    if total <= n:
+        # Every token fits, so the list never fills and no quick reject
+        # fires: the rank loop would read and merge every token, and one
+        # sort gives the same list.
+        lst = _top_n([k + w for src, w in live for k in src], n, mask)
+        reads = merges = total
+    else:
+        lst, reads, merges = _merge_ranks(live, n, mask)
+    res.ops += reads
+    res.merges += merges
+    if e == INF:
+        return []
+    res.emission_adds += len(lst)
+    return [c + e for c in lst]
+
+
+def _merge_ranks(live: list, n: int, mask: int) -> tuple[list, int, int]:
+    """The improved merge's rank loop over the live (token list, transition)
+    predecessors: (merged list, tokens read, tokens merged)."""
     lst: list = []
-    held: dict = {}  # pph -> cost of the token lst holds for it
+    held: dict = {}  # pph -> the token lst holds for it
     reads = merges = 0
     for k in range(n):
         reads += len(live)
         kept = []
         for entry in live:
-            src, log_a, dpph = entry
-            c0, p0 = src[k]
-            c = c0 - log_a
-            if len(lst) == n:
-                # Quick reject against the current worst token; the path
-                # index is computed only when it can matter.  src is in
-                # rank order and a full lst's worst token never gets worse,
-                # so src's deeper tokens would be rejected too: drop it.
-                lc, lp = lst[-1]
-                if c > lc or (c == lc and p0 + dpph >= lp):
-                    continue
+            src, w = entry
+            c = src[k] + w
+            # Quick reject against the current worst token.  src is in rank
+            # order and a full lst's worst token never gets worse, so src's
+            # deeper tokens would be rejected too: drop it.
+            if len(lst) == n and c >= lst[-1]:
+                continue
             if k + 1 < len(src):
                 kept.append(entry)
             merges += 1
-            p = p0 + dpph
+            p = c & mask
             # A token whose pph is already held replaces it only if better;
             # lst is sorted, so the held token is found by bisection.
             hc = held.get(p)
             if hc is not None:
                 if c >= hc:
                     continue
-                del lst[bisect_left(lst, (hc, p))]
+                del lst[bisect_left(lst, hc)]
             # The merge window starts at rank k: earlier ranks are final.
             # Past the quick reject the token always lands within the n best.
-            insort(lst, (c, p), k)
+            insort(lst, c, k)
             held[p] = c
             if len(lst) > n:
-                del held[lst.pop()[1]]
+                del held[lst.pop() & mask]
         live = kept
         if not live:
             break
-    res.ops += reads
-    res.merges += merges
-    if b == NEG_INF:
-        return []
-    res.emission_adds += len(lst)
-    return [(c - b, p) for c, p in lst]
+    return lst, reads, merges
 
 
 def nbest_naive(lexhmm: LexiconHMM, obs, n: int) -> DecodeResult:
@@ -305,7 +329,9 @@ def nbest_improved(lexhmm: LexiconHMM, obs, n: int) -> DecodeResult:
     merge window restricted to the k-th element onward, path-index update
     only on merged tokens, emission added once per surviving token.  A
     predecessor leaves the loop once its tokens run out or one of them fails
-    the quick reject, so each state reads at most the tokens naive reads."""
+    the quick reject, so each state reads at most the tokens naive reads.
+    A state whose candidates all fit in n tokens skips the loop for one
+    sort, with the same list and counters."""
     return _nbest(lexhmm, obs, n, _merge_improved)
 
 

@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 NEG_INF = float("-inf")
 
-# Log scores are snapped to a fixed binary grid so that every partial sum a
-# decoder can form is exact in double precision (the integer numerators stay
-# far below 2**53 for any realistic path length).  Exact sums mean exact tie
-# detection: two paths with equal true scores compare equal at every merge
-# point, so the smallest-path-index tie-break fires identically in all
-# decoder variants and in the brute-force reference, regardless of the
-# order in which the terms were added.
+# Log scores are snapped to a fixed binary grid, so every score is an integer
+# number of grid units.  The decoders add those integers (grid_cost), not the
+# floats: every sum is exact, and two paths with equal true scores compare
+# equal at every merge point, so the smallest-path-index tie-break fires
+# identically in all decoder variants and in the brute-force reference,
+# regardless of the order in which the terms were added.  A decoded score
+# (grid_score) is exact in double precision while its unit count stays below
+# 2**53, far beyond any realistic path length.
 LOG_QUANTUM = 2.0 ** -32
 
 
@@ -29,6 +30,22 @@ def quantize_log(x: float) -> float:
     if x == NEG_INF:
         return x
     return round(x / LOG_QUANTUM) * LOG_QUANTUM
+
+
+def grid_cost(x: float):
+    """The cost -x of a log score on the grid, as an exact int of grid units;
+    -inf maps to math.inf, which every int sum or comparison leaves dead."""
+    if x == NEG_INF:
+        return math.inf
+    units = -x / LOG_QUANTUM
+    if units != int(units):
+        raise ValueError(f"log score {x!r} is not on the 2**-32 grid")
+    return int(units)
+
+
+def grid_score(cost: int) -> float:
+    """Inverse of grid_cost for a finite cost; 0.0 - x, so never -0.0."""
+    return 0.0 - cost * LOG_QUANTUM
 
 
 class HmmConfigError(ValueError):

@@ -5,11 +5,12 @@ cross-node transitions, its states numbered in topological order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .automaton import NodeAutomaton, build_trie, Lexicon
-from .hmm import HmmConfig, LetterHMM
+from .hmm import HmmConfig, LetterHMM, grid_cost
 from .pph import annotate_increments, compute_suff
 
 START = -1  # virtual start state, active only at time 0
@@ -26,8 +27,18 @@ class LexiconHMM:
     States are numbered in topological order: automaton nodes laid out in
     topological order, letter-HMM states left-to-right within each node, so
     every non-self transition goes from a lower to a higher index.
-    preds[j] holds (source state or START, log transition, pph increment).
-    finals holds (exit state, sink-arc pph increment).
+
+    Scores are packed into plain ints, `cost << pph_bits | pph`, where cost
+    is the grid_cost of a log score (its negation in 2^-32 grid units) and
+    pph a path index in [0, W), held in pph_bits = (W - 1).bit_length() bits.
+    Int order is then rank order (lower cost first, ties to the smaller
+    pph), and adding two packed values adds costs and pphs separately,
+    since no path prefix has a pph above W - 1.  math.inf packs an
+    impossible score.  preds[j] holds (source state or START, packed
+    transition: its cost and the arc's pph increment); emit_rows[j] holds
+    the packed emission costs (pph 0) of state j's letter model, one per
+    symbol; finals holds (exit state, sink-arc pph increment).
+    n_arcs is the total length of the preds lists.
     """
 
     automaton: NodeAutomaton
@@ -37,6 +48,8 @@ class LexiconHMM:
     emit_rows: tuple
     finals: tuple
     symbol_index: dict
+    pph_bits: int
+    n_arcs: int
 
     @property
     def n_states(self) -> int:
@@ -54,16 +67,30 @@ def expand(
     Root and sink are collapsed: root arcs become START-fed entries scoring
     0.0, sink arcs mark final states.  Every transition score is read from
     the letter models; a cross-node transition scores its source letter's
-    forward step and carries the arc's path-index increment.
+    forward step and carries the arc's path-index increment.  The
+    increments must be the automaton's own annotation, which keeps every
+    pph prefix below W.
 
     One walk in topological order lays out the states: every predecessor
     of a node comes before it, so the node's entry list is complete when
-    the walk reaches it.
+    the walk reaches it.  Each letter model's scores are packed once.
     """
     if len(increments) != automaton.node_count:
         raise ExpansionError("automaton is not annotated with increments")
     s_per = config.states_per_letter
     labels = automaton.labels
+    bits = (automaton.word_count - 1).bit_length()
+
+    packed_scores: dict = {}  # log score -> packed cost; models share few values
+
+    def pack(log_p: float):
+        w = packed_scores.get(log_p)
+        if w is None:
+            cost = grid_cost(log_p)
+            w = packed_scores[log_p] = cost if cost == math.inf else cost << bits
+        return w
+
+    packed: dict = {}  # letter -> (self weight, forward weight, emission rows)
     entries: list = [[] for _ in labels]  # incoming cross-node transitions
     finals: list = []
     state_node: list[int] = []
@@ -73,19 +100,25 @@ def expand(
         if x == automaton.sink:
             continue
         if x == automaton.root:
-            exit_state, cross_w = START, 0.0
+            exit_state, cross_w = START, 0
         else:
-            hmm = letter_hmms.get(labels[x])
-            if hmm is None:
-                raise ExpansionError(f"no letter model for {labels[x]!r}")
+            model = packed.get(labels[x])
+            if model is None:
+                hmm = letter_hmms.get(labels[x])
+                if hmm is None:
+                    raise ExpansionError(f"no letter model for {labels[x]!r}")
+                model = packed[labels[x]] = (
+                    pack(hmm.log_self), pack(hmm.log_forward),
+                    tuple(tuple(map(pack, row)) for row in hmm.log_emissions))
+            w_self, cross_w, rows = model
             first = len(preds)
             for k in range(s_per):
                 state_node.append(x)
-                emit_rows.append(hmm.log_emissions[k])
-                lst = entries[x] if k == 0 else [(first + k - 1, hmm.log_forward, 0)]
-                lst.append((first + k, hmm.log_self, 0))
+                emit_rows.append(rows[k])
+                lst = entries[x] if k == 0 else [(first + k - 1, cross_w)]
+                lst.append((first + k, w_self))
                 preds.append(tuple(lst))
-            exit_state, cross_w = len(preds) - 1, hmm.log_forward
+            exit_state = len(preds) - 1
         for y, dpph in zip(automaton.succs[x], increments[x]):
             if y == automaton.sink:
                 # no forward-release score on exit: letter models built from
@@ -95,7 +128,7 @@ def expand(
                 # rounding
                 finals.append((exit_state, dpph))
             else:
-                entries[y].append((exit_state, cross_w, dpph))
+                entries[y].append((exit_state, cross_w + dpph))  # inf stays inf
 
     return LexiconHMM(
         automaton=automaton,
@@ -105,6 +138,8 @@ def expand(
         emit_rows=tuple(emit_rows),
         finals=tuple(finals),
         symbol_index={s: i for i, s in enumerate(config.alphabet)},
+        pph_bits=bits,
+        n_arcs=sum(map(len, preds)),
     )
 
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from flcva import (
@@ -10,6 +12,7 @@ from flcva import (
     expand,
     make_letter_hmms,
 )
+from flcva.hmm import LOG_QUANTUM, NEG_INF
 
 TOY_WORDS = ["ab", "ba", "bb", "bc", "bcd", "c"]
 TOY_PPH = {"ab": 0, "ba": 1, "bb": 2, "bcd": 3, "bc": 4, "c": 5}
@@ -45,6 +48,19 @@ def toy_dawg(toy_lexicon):
 def toy_annotated(toy_dawg):
     suff = compute_suff(toy_dawg)
     return toy_dawg, suff, annotate_increments(toy_dawg, suff)
+
+
+def unpack(lexhmm, packed):
+    """(log score, pph) of a packed lexicon-HMM value; math.inf is (-inf, 0)."""
+    if packed == math.inf:
+        return NEG_INF, 0
+    bits = lexhmm.pph_bits
+    return -(packed >> bits) * LOG_QUANTUM, packed & ((1 << bits) - 1)
+
+
+def unpacked_preds(lexhmm):
+    """lexhmm.preds as (source, log transition, pph increment) triples."""
+    return [[(i, *unpack(lexhmm, w)) for i, w in preds] for preds in lexhmm.preds]
 
 
 def onehot_config(states=1, self_loop=0.5, alphabet="abcd"):

@@ -27,7 +27,7 @@ from flcva.bench import generate_sequences, run_bench
 from flcva.pph import annotate_increments, compute_suff, encode_word
 from flcva.synth import random_lexicon, synthetic_lexicon
 
-from conftest import TOY_PPH, TOY_WORDS, uniform_config
+from conftest import TOY_PPH, TOY_WORDS, onehot_config, uniform_config
 
 
 def _report(name, elapsed, detail=""):
@@ -132,18 +132,27 @@ def test_criterion_4_memory_halving():
 
 def test_criterion_5_nbest_correctness():
     start = time.perf_counter()
-    # toy lexicon, n = 1..6
+    # toy lexicon, n = 1..6, and all five decoders against the oracle.  With
+    # no self-loops a letter takes exactly its states' frames, so every other
+    # path is behind an impossible (infinite-cost) transition; one-hot
+    # emissions make every mismatching emission impossible too.
     lex = Lexicon.from_words(TOY_WORDS)
-    cfg = uniform_config()
-    lexhmm, hmms = _lexhmm_for(lex, cfg)
-    obs = ["a"] * 3
-    for n in range(1, 7):
-        naive = nbest_naive(lexhmm, obs, n)
-        improved = nbest_improved(lexhmm, obs, n)
-        exact = nbest_exhaustive(lex, hmms, cfg, obs, n)
-        assert naive.ranking == improved.ranking == exact, f"toy n={n}"
-        assert improved.merges <= naive.merges
-        assert improved.ops <= naive.ops
+    for cfg, obs in (
+        (uniform_config(), ["a"] * 3),
+        (uniform_config(states=2, self_loop=0.0), list("abab")),
+        (onehot_config(states=2, self_loop=0.0), list("bbccdd")),
+    ):
+        lexhmm, hmms = _lexhmm_for(lex, cfg)
+        best = nbest_exhaustive(lex, hmms, cfg, obs, 1)
+        for fn in (viterbi_tabular, viterbi_flipflop, viterbi_inplace):
+            assert fn(lexhmm, obs).ranking == best, f"toy {cfg} {fn.__name__}"
+        for n in range(1, 7):
+            naive = nbest_naive(lexhmm, obs, n)
+            improved = nbest_improved(lexhmm, obs, n)
+            exact = nbest_exhaustive(lex, hmms, cfg, obs, n)
+            assert naive.ranking == improved.ranking == exact, f"toy {cfg} n={n}"
+            assert improved.merges <= naive.merges
+            assert improved.ops <= naive.ops
     # randomized instances, n = 1..5, then all words: n = W
     for seed in range(100):
         lex, cfg, lexhmm, hmms, obs = _random_instance(seed + 5000)

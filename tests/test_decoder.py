@@ -20,16 +20,17 @@ from flcva import (
     nbest_exhaustive,
     nbest_improved,
     nbest_naive,
+    sample_observations,
     viterbi_flipflop,
     viterbi_inplace,
     viterbi_tabular,
 )
-from flcva.decode import _merge_improved, _merge_naive, _nbest, _top_n
-from flcva.hmm import NEG_INF, quantize_log
+from flcva.decode import _merge_improved, _merge_naive, _merge_ranks, _nbest, _top_n, _unpack
+from flcva.hmm import LOG_QUANTUM, NEG_INF, quantize_log
 from flcva.pph import annotate_increments, compute_suff
 from flcva.synth import random_lexicon, synthetic_lexicon
 
-from conftest import onehot_config, uniform_config
+from conftest import onehot_config, unpack, unpacked_preds, uniform_config
 
 
 def _instance(seed):
@@ -49,8 +50,6 @@ def _instance(seed):
     inc = annotate_increments(dawg, suff)
     hmms = make_letter_hmms("abcde", cfg)
     lexhmm = expand(dawg, inc, hmms, cfg)
-    from flcva import sample_observations
-
     word = rng.choice(lex.words)
     obs = sample_observations(word, cfg, rng.randrange(2**31))
     return lex, lexhmm, hmms, cfg, obs
@@ -156,13 +155,14 @@ def test_bellman_consistency():
     from flcva.lexhmm import START
 
     n = lexhmm.n_states
+    preds = unpacked_preds(lexhmm)
     lat = [[NEG_INF] * n for _ in range(len(obs))]
     # rebuild the lattice with the tabular recurrence
     for t, sym in enumerate(obs):
         si = lexhmm.symbol_index[sym]
         for j in range(n):
             best = NEG_INF
-            for i, la, _dp in lexhmm.preds[j]:
+            for i, la, _dp in preds[j]:
                 s0 = (0.0 if t == 0 else NEG_INF) if i == START else (
                     lat[t - 1][i] if t > 0 else NEG_INF
                 )
@@ -170,7 +170,7 @@ def test_bellman_consistency():
                     continue
                 best = max(best, s0 + la)
             if best != NEG_INF:
-                lat[t][j] = best + lexhmm.emit_rows[j][si]
+                lat[t][j] = best + unpack(lexhmm, lexhmm.emit_rows[j][si])[0]
 
     # track naive n-best (cost, pph) token heads per state across time
     prev = [[] for _ in range(n)]
@@ -180,8 +180,8 @@ def test_bellman_consistency():
         cur = []
         for j in range(n):
             lst = []
-            b = lexhmm.emit_rows[j][si]
-            for i, la, dp in lexhmm.preds[j]:
+            b = unpack(lexhmm, lexhmm.emit_rows[j][si])[0]
+            for i, la, dp in preds[j]:
                 src = (start_list if t == 0 else ()) if i == START else prev[i]
                 for c0, p0 in src:
                     if la == NEG_INF:
@@ -202,6 +202,27 @@ _grid_costs = st.one_of(st.integers(0, 3), st.integers(-2**40, 2**40)).map(
     lambda k: k * 2.0**-32
 )
 
+# The hand-built tokens below have pphs up to 5 and increments up to 3, so
+# every pph they reach fits in 4 bits.
+_BITS = 4
+_MASK = (1 << _BITS) - 1
+
+
+def _pack(tok):
+    """The decoder's int token for a (cost, pph) reference token."""
+    cost, pph = tok
+    return int(cost / LOG_QUANTUM) << _BITS | pph
+
+
+def _cost_pph(k):
+    """The (cost, pph) reference token of a decoder token."""
+    return (k >> _BITS) * LOG_QUANTUM, k & _MASK
+
+
+def _weight(log_p, dpph=0):
+    """The decoder's packed transition or emission for a log score."""
+    return math.inf if log_p == NEG_INF else _pack((0.0 - log_p, dpph))
+
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(_grid_costs, st.integers(0, 5)), max_size=30), st.data())
@@ -210,7 +231,7 @@ def test_top_n_equals_sequential_capped_insert(cands, data):
     expected = []
     for tok in cands:
         _insert_capped(expected, tok, n)
-    assert _top_n(list(cands), n) == expected
+    assert _top_n([_pack(t) for t in cands], n, _MASK) == [_pack(t) for t in expected]
 
 
 def _merge_every_rank(prev, preds_j, b, n, res):
@@ -272,26 +293,37 @@ _log_probs = st.one_of(st.just(NEG_INF), _grid_costs)
 def test_merge_improved_equals_every_rank_merge(preds, b, data):
     # Each predecessor's list is sorted with one token per pph, as the
     # decoder holds it; small pphs and dpphs make p0 + dpph collide.
-    prev = [_top_n(list(toks), len(toks)) for toks, _log_a, _dpph in preds]
+    # The reference merges (cost, pph) tokens; the decoder's merges get them
+    # packed.
+    packed_prev = [_top_n([_pack(t) for t in toks], len(toks), _MASK) for toks, _a, _d in preds]
+    prev = [[_cost_pph(k) for k in lst] for lst in packed_prev]
     preds_j = [(i, log_a, dpph) for i, (_toks, log_a, dpph) in enumerate(preds)]
     n = data.draw(st.integers(1, sum(map(len, prev)) + 1))
     ref, improved, naive = DecodeResult(), DecodeResult(), DecodeResult()
-    expected = _merge_every_rank(prev, preds_j, b, n, ref)
-    assert _merge_improved(prev, preds_j, b, n, improved) == expected
+    expected = [_pack(t) for t in _merge_every_rank(prev, preds_j, b, n, ref)]
+    packed_preds = [(i, _weight(log_a, dpph)) for i, log_a, dpph in preds_j]
+    e = _weight(b)
+    assert _merge_improved(packed_prev, packed_preds, e, n, _MASK, improved) == expected
     assert (improved.merges, improved.emission_adds) == (ref.merges, ref.emission_adds)
     assert improved.ops <= ref.ops
-    assert _merge_naive(prev, preds_j, b, n, naive) == expected
+    assert _merge_naive(packed_prev, packed_preds, e, n, _MASK, naive) == expected
     assert improved.ops <= naive.ops
+    # The rank loop itself, which the merge skips when every token fits,
+    # gives the same list and counts.
+    live = [(packed_prev[i], w) for i, w in packed_preds if packed_prev[i] and w != math.inf]
+    lst, reads, merges = _merge_ranks(live, n, _MASK) if live else ([], 0, 0)
+    assert (reads, merges) == (improved.ops, improved.merges)
+    assert ([c + e for c in lst] if e != math.inf else []) == expected
 
 
 def test_merge_improved_readmits_a_pph_it_pushed_out():
     # n = 1: (3, pph 1) is pushed out by (1, pph 2), then pph 1 comes back
     # from a third predecessor at cost 0 and must take the list.
     g = 2.0**-32
-    prev = [[(3 * g, 1)], [(1 * g, 2)], [(0.0, 1)]]
-    preds_j = [(i, 0.0, 0) for i in range(3)]
+    prev = [[_pack((3 * g, 1))], [_pack((1 * g, 2))], [_pack((0.0, 1))]]
+    preds_j = [(i, _weight(0.0)) for i in range(3)]
     res = DecodeResult()
-    assert _merge_improved(prev, preds_j, 0.0, 1, res) == [(0.0, 1)]
+    assert _merge_improved(prev, preds_j, _weight(0.0), 1, _MASK, res) == [_pack((0.0, 1))]
     assert (res.ops, res.merges) == (3, 3)
 
 
@@ -312,12 +344,12 @@ def test_all_words_tokens_held_bounded_by_trie_states(merge):
     held = []  # tokens held after each frame
     calls = 0
 
-    def counting(prev, preds_j, b, n, res):
+    def counting(prev, preds_j, e, n, mask, res):
         nonlocal calls
         if calls % lexhmm.n_states == 0:
             held.append(0)  # _nbest merges every state once per frame
         calls += 1
-        lst = merge(prev, preds_j, b, n, res)
+        lst = merge(prev, preds_j, e, n, mask, res)
         held[-1] += len(lst)
         return lst
 
@@ -398,3 +430,65 @@ def test_format_result(toy_lexhmm_onehot):
     assert result.emission_adds > 0
     trailer = format_result(result).splitlines()[-1]
     assert trailer.endswith(f" emission_adds={result.emission_adds}")
+
+
+# Lexicon sizes at the edges of the packed token layout: W = 1 has no pph
+# bits, and W = 2^k puts pph W - 1 in the top bit.
+_EDGE_SIZES = (1, 2, 8, 9, 16, 17)
+
+
+def _edge_instance(w, cfg=None):
+    """(lexicon, lexhmm, letter models, config) of a random W-word lexicon."""
+    lex = random_lexicon(w, alphabet="abc", min_len=1, max_len=4, seed=w)
+    cfg = cfg or HmmConfig(alphabet=tuple("abc"), states_per_letter=1,
+                           self_loop_prob=0.5, emission_peak=0.6)
+    dawg = build_dawg(lex)
+    hmms = make_letter_hmms("abc", cfg)
+    return lex, expand(dawg, annotate_increments(dawg, compute_suff(dawg)), hmms, cfg), hmms, cfg
+
+
+_EDGE_LEXHMMS = {w: _edge_instance(w)[1] for w in _EDGE_SIZES}
+
+
+@pytest.mark.parametrize("w", _EDGE_SIZES)
+def test_pph_bits_are_the_fewest_that_hold_every_path_index(w):
+    bits = _EDGE_LEXHMMS[w].pph_bits
+    assert w <= 1 << bits
+    assert bits == 0 or w > 1 << (bits - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_EDGE_SIZES), st.data())
+def test_packed_tokens_order_and_add_like_cost_pph_pairs(w, data):
+    lexhmm = _EDGE_LEXHMMS[w]
+    bits = lexhmm.pph_bits
+    costs = st.one_of(st.integers(0, 3), st.integers(0, 2**45))
+    (c1, p1), (c2, p2) = (data.draw(st.tuples(costs, st.integers(0, w - 1))) for _ in "12")
+    k1, k2 = c1 << bits | p1, c2 << bits | p2
+    assert (k1 < k2) == ((c1, p1) < (c2, p2))
+    assert (k1 == k2) == ((c1, p1) == (c2, p2))
+    assert _unpack(lexhmm, k1) == (p1, 0.0 - c1 * LOG_QUANTUM)
+    # A live arc of the graph added to a token whose pph leaves room for
+    # the arc's increment: costs and pphs add separately, with no carry.
+    arcs = [w_ for preds in lexhmm.preds for _i, w_ in preds if w_ != math.inf]
+    arc = data.draw(st.sampled_from(arcs))
+    log_a, dpph = unpack(lexhmm, arc)
+    c = data.draw(costs)
+    p = data.draw(st.integers(0, w - 1 - dpph))
+    assert unpack(lexhmm, (c << bits | p) + arc) == (log_a - c * LOG_QUANTUM, p + dpph)
+
+
+@pytest.mark.parametrize("w", _EDGE_SIZES)
+def test_edge_sizes_decode_every_word_like_the_oracle(w):
+    # Uniform emissions make score ties, so the pph tie-break decides ranks
+    # up to pph W - 1; n = W ranks every word the sequence allows.
+    for cfg in (None, uniform_config(alphabet="abc")):
+        lex, lexhmm, hmms, cfg = _edge_instance(w, cfg)
+        rng = random.Random(w)
+        for _ in range(4):
+            obs = sample_observations(rng.choice(lex.words), cfg, rng.randrange(2**31))
+            exact = nbest_exhaustive(lex, hmms, cfg, obs, w)
+            for fn in (viterbi_tabular, viterbi_flipflop, viterbi_inplace):
+                assert fn(lexhmm, obs).ranking == exact[:1], f"W={w} {fn.__name__}"
+            for fn in (nbest_naive, nbest_improved):
+                assert fn(lexhmm, obs, w).ranking == exact, f"W={w} {fn.__name__}"

@@ -16,6 +16,8 @@ from flcva.hmm import (
     LOG_QUANTUM,
     format_config,
     format_observations,
+    grid_cost,
+    grid_score,
     parse_config,
     quantize_log,
     read_observations,
@@ -55,6 +57,22 @@ def test_emission_rows_normalized(peak):
         total = sum(math.exp(v) for v in row if v != NEG_INF)
         # normalization holds up to the log-grid rounding of each entry
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+@given(st.integers(-2**52, 0))
+def test_grid_cost_is_the_exact_negated_unit_count(units):
+    x = units * LOG_QUANTUM
+    assert grid_cost(x) == -units
+    assert type(grid_cost(x)) is int
+    assert grid_score(grid_cost(x)) == x
+    assert math.copysign(1.0, grid_score(0)) == 1.0  # 0.0, never -0.0
+
+
+def test_grid_cost_of_impossible_and_off_grid_scores():
+    assert grid_cost(NEG_INF) == math.inf
+    assert grid_cost(quantize_log(math.log(0.3))) * -LOG_QUANTUM == quantize_log(math.log(0.3))
+    with pytest.raises(ValueError):
+        grid_cost(quantize_log(math.log(0.3)) + LOG_QUANTUM / 4)
 
 
 def test_letter_outside_alphabet_rejected():

@@ -12,7 +12,7 @@ from flcva import (
 )
 from flcva.pph import annotate_increments, compute_suff
 
-from conftest import onehot_config
+from conftest import onehot_config, unpack, unpacked_preds
 
 
 def test_toy_expansion_counts(toy_lexhmm_onehot):
@@ -51,7 +51,7 @@ def test_cross_node_transition_carries_increment(toy_lexhmm_onehot):
     c_after_b = dawg.succs[b][2]
     entry = lexhmm.state_node.index(c_after_b)
     b_exit = max(j for j, n in enumerate(lexhmm.state_node) if n == b)
-    increments = [dp for src, _a, dp in lexhmm.preds[entry] if src == b_exit]
+    increments = [dp for src, _a, dp in unpacked_preds(lexhmm)[entry] if src == b_exit]
     assert increments == [2]
 
 
@@ -60,7 +60,7 @@ def test_intra_node_transitions_carry_zero(toy_annotated):
     cfg = onehot_config(states=3)
     hmms = make_letter_hmms("abcd", cfg)
     lexhmm = expand(dawg, inc, hmms, cfg)
-    for j, preds in enumerate(lexhmm.preds):
+    for j, preds in enumerate(unpacked_preds(lexhmm)):
         for src, _a, dp in preds:
             if src != START and lexhmm.state_node[src] == lexhmm.state_node[j]:
                 assert dp == 0
@@ -72,7 +72,7 @@ def test_decode_order_is_topological(toy_annotated):
     hmms = make_letter_hmms("abcd", cfg)
     lexhmm = expand(dawg, inc, hmms, cfg)
     for j, preds in enumerate(lexhmm.preds):
-        for src, _a, _dp in preds:
+        for src, _w in preds:
             if src != START and src != j:
                 assert src < j
 
@@ -87,7 +87,7 @@ def test_word_linear_matches_single_word_expand():
     assert linear.n_states == expanded.n_states
     assert linear.preds == expanded.preds
     assert linear.finals == expanded.finals
-    assert all(dp == 0 for preds in linear.preds for _s, _a, dp in preds)
+    assert all(dp == 0 for preds in unpacked_preds(linear) for _s, _a, dp in preds)
 
 
 def test_decode_stats(toy_lexhmm_onehot):
@@ -135,9 +135,12 @@ def test_transition_scores_come_from_the_letter_models(toy_annotated):
     lexhmm = expand(dawg, inc, hmms, onehot_config(states=2, self_loop=0.5))
     log_self, log_forward = hmms["a"].log_self, hmms["a"].log_forward
     assert log_self != log_forward
-    for j, preds in enumerate(lexhmm.preds):
+    for j, preds in enumerate(unpacked_preds(lexhmm)):
         for src, log_a, _dp in preds:
             if src == START:
                 assert log_a == 0.0
             else:
                 assert log_a == (log_self if src == j else log_forward)
+    for j, row in enumerate(lexhmm.emit_rows):
+        letter = dawg.labels[lexhmm.state_node[j]]
+        assert [unpack(lexhmm, e) for e in row] == [(x, 0) for x in hmms[letter].log_emissions[0]]
