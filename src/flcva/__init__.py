@@ -11,7 +11,6 @@ from .automaton import (
     parse_automaton,
     read_wordlist,
     serialize_automaton,
-    topological_index,
 )
 from .decode import (
     DecodeError,

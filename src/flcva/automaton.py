@@ -110,11 +110,6 @@ def _topo_order(succs, root: int, n: int) -> list[int]:
     return index
 
 
-def topological_index(automaton: NodeAutomaton) -> tuple[int, ...]:
-    """Recompute the topological numbering of an automaton."""
-    return tuple(_topo_order(automaton.succs, automaton.root, automaton.node_count))
-
-
 def _finalize(labels, succs, root, sink, word_count) -> NodeAutomaton:
     topo = _topo_order(succs, root, len(labels))
     return NodeAutomaton(
@@ -298,39 +293,31 @@ def serialize_automaton(
     return "\n".join(lines) + "\n"
 
 
-def _int(field: str, what: str) -> int:
-    try:
-        return int(field)
-    except ValueError:
-        raise AutomatonError(f"{what} is not an integer: {field!r}") from None
-
-
-def _node_id(field: str, n: int) -> int:
-    i = _int(field, "node id")
-    if not 0 <= i < n:
-        raise AutomatonError(f"node id {i} outside [0, {n - 1}]")
-    return i
-
-
 def parse_automaton(text: str):
     """Inverse of serialize_automaton; returns (automaton, suff, increments).
 
-    The automaton goes through the same constructor as build_trie and
-    minimize, so cycles and nodes unreachable from ROOT are rejected; so is a
-    node that cannot reach SINK.  Each node's arcs must be in canonical order
-    (letters strictly ascending, then at most one sink arc), or path indices
-    would stop being lexicographic ranks.  The stored topological index, suff
-    and increments are recomputed from the structure and rejected on any
-    mismatch, so a damaged file fails here instead of decoding to a wrong
-    word.
+    Only the structure is read: each node's label, by the position of its
+    line, and each arc's two ends.  The automaton goes through the same
+    constructor as build_trie and build_dawg, so cycles and nodes unreachable
+    from ROOT are rejected; so is a node that cannot reach SINK.  Each node's
+    arcs must be in canonical order (letters strictly ascending, then at most
+    one sink arc), or path indices would stop being lexicographic ranks.  The
+    file then loads only if its lines equal those serialize_automaton writes
+    for the rebuilt automaton, so a stored topological index, suff or
+    increment that does not match, a reordered line, a reformatted field or
+    trailing text fails here instead of decoding to a wrong word.  Line
+    endings and a missing final newline do not matter.
     """
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_VERSION:
         raise AutomatonError("unrecognized automaton format version")
     header = lines[1].split() if len(lines) > 1 else []
-    if len(header) != 6 or header[0] != "NODES" or header[2] != "ARCS" or header[4] != "WORDS":
+    if len(header) != 6 or header[::2] != ["NODES", "ARCS", "WORDS"]:
         raise AutomatonError("malformed automaton header")
-    n, n_arcs, w = (_int(header[k], header[k - 1]) for k in (1, 3, 5))
+    try:
+        n, n_arcs, w = map(int, header[1::2])
+    except ValueError:
+        raise AutomatonError(f"automaton header counts are not integers: {lines[1]!r}") from None
     if n < 2 or n_arcs < 0:
         raise AutomatonError("automaton header needs NODES >= 2 and ARCS >= 0")
     node_lines = lines[2 : 2 + n]
@@ -338,59 +325,47 @@ def parse_automaton(text: str):
     if len(node_lines) != n or len(arc_lines) != n_arcs:
         raise AutomatonError("truncated automaton file")
 
-    labels: list = [None] * n
-    topo: list = [0] * n
-    suff: list = [0] * n
-    succs: list = [[] for _ in range(n)]
-    incs: list = [[] for _ in range(n)]
-    seen: set[int] = set()
-    roots: list[int] = []
-    sinks: list[int] = []
-    for line in node_lines:
+    labels: list = []
+    for i, line in enumerate(node_lines):
         parts = line.split()
         if len(parts) != 5 or parts[0] != "node":
             raise AutomatonError(f"malformed node line: {line!r}")
-        i = _node_id(parts[1], n)
-        if i in seen:
-            raise AutomatonError(f"duplicate node id {i}")
-        seen.add(i)
-        if parts[2] == ROOT_LABEL:
-            roots.append(i)
-        elif parts[2] == SINK_LABEL:
-            sinks.append(i)
-        elif len(parts[2]) == 1:
-            labels[i] = parts[2]
-        else:
+        if len(parts[2]) != 1 and parts[2] not in (ROOT_LABEL, SINK_LABEL):
             raise AutomatonError(f"node {i} label {parts[2]!r} is not one letter")
-        topo[i] = _int(parts[3], "topological index")
-        suff[i] = _int(parts[4], "suff")
-    if len(roots) != 1 or len(sinks) != 1:
+        labels.append(parts[2])
+    if labels.count(ROOT_LABEL) != 1 or labels.count(SINK_LABEL) != 1:
         raise AutomatonError("automaton file needs exactly one ROOT and one SINK node")
-    root, sink = roots[0], sinks[0]
+    root, sink = labels.index(ROOT_LABEL), labels.index(SINK_LABEL)
+    labels[root] = labels[sink] = None
+    succs: list = [[] for _ in range(n)]
     for line in arc_lines:
         parts = line.split()
         if len(parts) != 4 or parts[0] != "arc":
             raise AutomatonError(f"malformed arc line: {line!r}")
-        src, dst = _node_id(parts[1], n), _node_id(parts[2], n)
+        try:
+            src, dst = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise AutomatonError(f"arc ends are not integers: {line!r}") from None
+        if not (0 <= src < n and 0 <= dst < n):
+            raise AutomatonError(f"arc {src} -> {dst} leaves node ids [0, {n - 1}]")
         if dst == root or src == sink:
             raise AutomatonError(f"arc {src} -> {dst} enters ROOT or leaves SINK")
         if src == root and dst == sink:
             raise AutomatonError("arc ROOT -> SINK spells the empty word")
-        succs[src].append(dst)
-        incs[src].append(_int(parts[3], "increment"))
-    for src, lst in enumerate(succs):
-        letters = [labels[dst] for dst in lst if dst != sink]
-        if sink in lst[:-1] or any(a >= b for a, b in zip(letters, letters[1:])):
+        lst = succs[src]
+        if lst and (lst[-1] == sink or dst != sink and labels[dst] <= labels[lst[-1]]):
             raise AutomatonError(f"arcs of node {src} are not in canonical order")
+        lst.append(dst)
     auto = _finalize(labels, succs, root, sink, w)
-    if auto.topo_index != tuple(topo):
-        raise AutomatonError("stored topological index does not match the automaton")
     from .pph import annotate_increments, compute_suff  # pph imports this module
 
-    real_suff = compute_suff(auto)
-    if 0 in real_suff:
-        raise AutomatonError(f"node {real_suff.index(0)} cannot reach SINK")
-    real_incs = annotate_increments(auto, real_suff)
-    if tuple(suff) != real_suff or tuple(tuple(i) for i in incs) != real_incs:
-        raise AutomatonError("stored path-index annotations do not match the automaton")
-    return auto, real_suff, real_incs
+    suff = compute_suff(auto)
+    if 0 in suff:
+        raise AutomatonError(f"node {suff.index(0)} cannot reach SINK")
+    incs = annotate_increments(auto, suff)
+    expected = serialize_automaton(auto, suff, incs).splitlines()
+    if lines != expected:
+        k = next((k for k, (a, b) in enumerate(zip(lines, expected)) if a != b), len(expected))
+        want = repr(expected[k]) if k < len(expected) else "the end of the file"
+        raise AutomatonError(f"line {k + 1} is {lines[k]!r}; the rebuilt automaton has {want}")
+    return auto, suff, incs

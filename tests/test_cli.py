@@ -311,6 +311,10 @@ def _assert_one_error_line(capsys) -> str:
     # with increments matching the swapped order this loaded, and `b b`
     # decoded to "bb" with path index 1 instead of its rank 2
     ("auto", "arc 3 4 0\narc 3 2 1", "arc 3 2 0\narc 3 4 1"),
+    # the loader read only the fields it checked: each of these loaded
+    ("auto", "arc 7 8 0", "arc 7 8 0\nhello world"),
+    ("auto", "node 2 b 7 1\nnode 3 b 2 4", "node 3 b 2 4\nnode 2 b 7 1"),
+    ("auto", "node 1 a", "node 1  a"),
     ("cfg", "states_per_letter=1", "states_per_letter=x"),
     ("cfg", "self_loop_prob=0.5", "self_loop_prob=half"),
     # observation files are whitespace-delimited and mark comments with #:
@@ -394,6 +398,31 @@ def test_undecodable_word_list_exits_2(toy_paths, capsys):
     wordlist.write_bytes(b"ab\n\xff\n")
     assert main(["build", str(wordlist), str(tmp / "x.auto"), "--dawg"]) == 2
     _assert_one_error_line(capsys)
+
+
+def test_byte_order_mark_is_not_read_as_text(toy_paths, capsys):
+    # a UTF-8 BOM used to become part of the first word, so `build` stored
+    # the word "\ufeffab", and of the first observation symbol
+    wordlist, config, tmp = toy_paths
+    obs = tmp / "obs.txt"
+    obs.write_text("a b\nc c c\n")
+    outputs = []
+    for bom in ("", "\ufeff"):
+        run = tmp / f"bom{len(bom)}"
+        run.mkdir()
+        words, cfg, seqs = (run / path.name for path in (wordlist, config, obs))
+        for path, copy in ((wordlist, words), (config, cfg), (obs, seqs)):
+            copy.write_text(bom + path.read_text(), encoding="utf-8")
+        auto = run / "dawg.auto"
+        assert main(["build", str(words), str(auto), "--dawg"]) == 0
+        built = auto.read_bytes()
+        auto.write_bytes(bom.encode() + built)
+        decode = ["decode", str(auto), str(cfg), str(seqs)]
+        assert main(decode) == 0
+        assert main([*decode, "--variant", "nbest-improved", "--nbest", "all"]) == 0
+        outputs.append((built, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert "error" not in outputs[0][1].out
 
 
 def test_deep_word_builds_and_decodes(tmp_path, capsys):
