@@ -50,17 +50,21 @@ class Lexicon:
 class NodeAutomaton:
     """Rooted DAG of letter-labeled nodes with a common sink.
 
+    Node ids are a topological order: the root is node 0, the sink the last
+    node, and every arc goes from a lower to a higher id.
     labels[i] is the letter of node i, or None for root/sink.
     succs[i] is the canonical-order successor id tuple of node i.
-    topo_index is a topological numbering: index(src) < index(dst) on arcs.
     """
 
     labels: tuple
     succs: tuple
-    root: int
-    sink: int
-    topo_index: tuple
     word_count: int
+
+    root = 0
+
+    @property
+    def sink(self) -> int:
+        return len(self.labels) - 1
 
     @property
     def node_count(self) -> int:
@@ -79,45 +83,29 @@ class NodeAutomaton:
 
 def read_wordlist(text: str) -> Lexicon:
     """Parse a UTF-8 word list: one word per line, blank lines ignored."""
-    words = [line.strip() for line in text.splitlines()]
+    # only "\n" ends a line: str.splitlines would also break a word at a
+    # form feed or another Unicode line boundary, which is whitespace inside it
+    words = [line.strip() for line in text.split("\n")]
     return Lexicon.from_words(w for w in words if w)
 
 
-def _topo_order(succs, root: int, n: int) -> list[int]:
-    """Reverse-postorder topological index; deterministic under canonical
-    successor order.  Raises on cycles or nodes unreachable from the root."""
-    state = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    post: list[int] = []
-    stack = [(root, iter(succs[root]))]
-    state[root] = 1
-    while stack:
-        node, it = stack[-1]
-        nxt = next(it, None)
-        if nxt is None:
-            stack.pop()
-            state[node] = 2
-            post.append(node)
-        elif state[nxt] == 1:
-            raise AutomatonError("cycle detected in automaton")
-        elif state[nxt] == 0:
-            state[nxt] = 1
-            stack.append((nxt, iter(succs[nxt])))
-    if any(s != 2 for s in state):
-        raise AutomatonError("node unreachable from root")
-    index = [0] * n
-    for rank, node in enumerate(post):
-        index[node] = n - 1 - rank
-    return index
+def _finalize(labels, succs, word_count) -> NodeAutomaton:
+    """The automaton with these nodes, whose ids must be topological.
 
-
-def _finalize(labels, succs, root, sink, word_count) -> NodeAutomaton:
-    topo = _topo_order(succs, root, len(labels))
+    Every arc must go to a higher id, which rules out cycles, and every node
+    but the root 0 must have an arc in, so the root reaches every node.
+    """
+    entered = [False] * len(labels)
+    for src, lst in enumerate(succs):
+        for dst in lst:
+            if dst <= src:
+                raise AutomatonError(f"arc {src} -> {dst} does not go to a higher node id")
+            entered[dst] = True
+    if False in entered[1:]:
+        raise AutomatonError(f"node {entered.index(False, 1)} is unreachable from the root")
     return NodeAutomaton(
         labels=tuple(labels),
         succs=tuple(tuple(s) for s in succs),
-        root=root,
-        sink=sink,
-        topo_index=tuple(topo),
         word_count=word_count,
     )
 
@@ -161,7 +149,7 @@ def build_trie(lexicon: Lexicon) -> NodeAutomaton:
     succs.append([])
     for node in terminal:
         succs[node].append(sink)  # after every letter arc
-    return _finalize(labels, succs, 0, sink, lexicon.word_count)
+    return _finalize(labels, succs, lexicon.word_count)
 
 
 def build_dawg(lexicon: Lexicon) -> NodeAutomaton:
@@ -208,63 +196,59 @@ def build_dawg(lexicon: Lexicon) -> NodeAutomaton:
         path[-1][2] = True
         prev = w
     freeze(1)
-    # Node ids: the sink, then the register in insertion order, then the root.
-    labels, succs = zip((None, ()), *register, (None, path[0][1]))
-    return _renumbered(labels, succs, len(labels) - 1, sink, lexicon.word_count)
+    # A node is frozen after its successors, so ids in reverse freeze order
+    # are topological: the root, the register from its newest entry, the sink.
+    last = len(register) + 1
+    nodes = [(None, path[0][1]), *reversed(register), (None, ())]
+    return _finalize([label for label, _ in nodes],
+                     [[last - c for c in kids] for _, kids in nodes], lexicon.word_count)
 
 
 def minimize(trie: NodeAutomaton) -> NodeAutomaton:
     """Merge nodes with equal letter label and equal right language.
 
     Bottom-up hash-consing on (label, successor representative ids); processes
-    nodes in decreasing topological index so successors are resolved first.
-    Preserves the language and the canonical successor ordering.  This is the
-    reference that build_dawg must match, and the benchmark's traced
-    trie-then-minimize set-up; the CLI builds DAWGs with build_dawg.
+    nodes in decreasing id order, which is reverse topological, so successors
+    are resolved first.  Preserves the language and the canonical successor
+    ordering.  This is the reference that build_dawg must match, and the
+    benchmark's traced trie-then-minimize set-up; the CLI builds DAWGs with
+    build_dawg.
     """
-    order = sorted(range(trie.node_count), key=lambda x: trie.topo_index[x], reverse=True)
-    rep = {trie.sink: trie.sink}
+    rep = list(range(trie.node_count))  # the sink stands for itself
     register: dict = {}
     succs: list = [()] * trie.node_count
-    for node in order:
-        if node == trie.sink:
-            continue
+    for node in reversed(range(trie.sink)):
         succs[node] = tuple(rep[s] for s in trie.succs[node])
-        if node == trie.root:
-            rep[node] = node
-        else:
-            rep[node] = register.setdefault((trie.labels[node], succs[node]), node)
-    return _renumbered(trie.labels, succs, trie.root, trie.sink, trie.word_count)
+        # the root is the only unlabeled node here, so it stands for itself
+        rep[node] = register.setdefault((trie.labels[node], succs[node]), node)
+    return _renumbered(trie.labels, succs, trie.word_count)
 
 
-def _renumbered(labels, succs, root: int, sink: int, word_count: int) -> NodeAutomaton:
-    """The part of a graph reachable from root, numbered in preorder from
-    root (successors in canonical order), with the sink last.
+def _renumbered(labels, succs, word_count: int) -> NodeAutomaton:
+    """The part of a graph reachable from its root 0, numbered in reverse DFS
+    postorder (successors in canonical order): topological, with the root
+    first and the sink, the first node to complete, last.
 
     labels and succs are indexed by the graph's own node ids; nodes that
-    root cannot reach are dropped.
+    the root cannot reach are dropped.
     """
-    new_id = {root: 0, sink: -1}  # the sink's id is known only at the end
-    out_labels: list = [None]
-    out_succs: list = [[]]
-    stack = [(root, iter(succs[root]))]
+    post: list = []
+    seen = [False] * len(labels)
+    seen[0] = True
+    stack = [(0, iter(succs[0]))]
     while stack:
-        old, it = stack[-1]
+        node, it = stack[-1]
         x = next(it, None)
         if x is None:
             stack.pop()
-            continue
-        if x not in new_id:
-            new_id[x] = len(out_labels)
-            out_labels.append(labels[x])
-            out_succs.append([])
+            post.append(node)
+        elif not seen[x]:
+            seen[x] = True
             stack.append((x, iter(succs[x])))
-        out_succs[new_id[old]].append(new_id[x])
-    new_sink = len(out_labels)
-    out_labels.append(None)
-    out_succs = [[new_sink if d == -1 else d for d in lst] for lst in out_succs]
-    out_succs.append([])
-    return _finalize(out_labels, out_succs, 0, new_sink, word_count)
+    post.reverse()
+    new_id = {old: i for i, old in enumerate(post)}
+    return _finalize([labels[x] for x in post],
+                     [[new_id[s] for s in succs[x]] for x in post], word_count)
 
 
 def serialize_automaton(
@@ -272,21 +256,17 @@ def serialize_automaton(
 ) -> str:
     """Versioned structured-text serialization; byte-exact round trip.
 
-    Node lines carry suff, arc lines the delta-PPH increment (see pph.py).
+    Node lines carry the node's topological rank, which is its id, and
+    suff; arc lines the delta-PPH increment (see pph.py).
     """
     lines = [
         FORMAT_VERSION,
         f"NODES {automaton.node_count} ARCS {automaton.arc_count} "
         f"WORDS {automaton.word_count}",
     ]
-    for i in range(automaton.node_count):
-        if i == automaton.root:
-            label = ROOT_LABEL
-        elif i == automaton.sink:
-            label = SINK_LABEL
-        else:
-            label = automaton.labels[i]
-        lines.append(f"node {i} {label} {automaton.topo_index[i]} {suff[i]}")
+    names = (ROOT_LABEL, *automaton.labels[1:-1], SINK_LABEL)
+    for i, (label, paths) in enumerate(zip(names, suff)):
+        lines.append(f"node {i} {label} {i} {paths}")
     for src in range(automaton.node_count):
         for dst, inc in zip(automaton.succs[src], increments[src]):
             lines.append(f"arc {src} {dst} {inc}")
@@ -297,16 +277,17 @@ def parse_automaton(text: str):
     """Inverse of serialize_automaton; returns (automaton, suff, increments).
 
     Only the structure is read: each node's label, by the position of its
-    line, and each arc's two ends.  The automaton goes through the same
-    constructor as build_trie and build_dawg, so cycles and nodes unreachable
-    from ROOT are rejected; so is a node that cannot reach SINK.  Each node's
-    arcs must be in canonical order (letters strictly ascending, then at most
-    one sink arc), or path indices would stop being lexicographic ranks.  The
-    file then loads only if its lines equal those serialize_automaton writes
-    for the rebuilt automaton, so a stored topological index, suff or
-    increment that does not match, a reordered line, a reformatted field or
-    trailing text fails here instead of decoding to a wrong word.  Line
-    endings and a missing final newline do not matter.
+    line, and each arc's two ends.  ROOT must be the first node and SINK the
+    last.  The automaton goes through the same constructor as build_trie and
+    build_dawg, so an arc to a lower or equal id (every cycle has one) and a
+    node unreachable from ROOT are rejected; so is a node that cannot reach
+    SINK.  Each node's arcs must be in canonical order (letters strictly
+    ascending, then at most one sink arc), or path indices would stop being
+    lexicographic ranks.  The file then loads only if its lines equal those
+    serialize_automaton writes for the rebuilt automaton, so a stored id,
+    suff or increment that does not match, a reordered line, a reformatted
+    field or trailing text fails here instead of decoding to a wrong word.
+    Line endings and a missing final newline do not matter.
     """
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_VERSION:
@@ -326,17 +307,18 @@ def parse_automaton(text: str):
         raise AutomatonError("truncated automaton file")
 
     labels: list = []
-    for i, line in enumerate(node_lines):
+    for line in node_lines:
         parts = line.split()
         if len(parts) != 5 or parts[0] != "node":
             raise AutomatonError(f"malformed node line: {line!r}")
-        if len(parts[2]) != 1 and parts[2] not in (ROOT_LABEL, SINK_LABEL):
-            raise AutomatonError(f"node {i} label {parts[2]!r} is not one letter")
         labels.append(parts[2])
-    if labels.count(ROOT_LABEL) != 1 or labels.count(SINK_LABEL) != 1:
-        raise AutomatonError("automaton file needs exactly one ROOT and one SINK node")
-    root, sink = labels.index(ROOT_LABEL), labels.index(SINK_LABEL)
-    labels[root] = labels[sink] = None
+    if labels[0] != ROOT_LABEL or labels[-1] != SINK_LABEL:
+        raise AutomatonError("automaton file needs ROOT as its first node and SINK as its last")
+    labels[0] = labels[-1] = None
+    for i in range(1, n - 1):
+        if len(labels[i]) != 1:
+            raise AutomatonError(f"node {i} label {labels[i]!r} is not one letter")
+    root, sink = 0, n - 1
     succs: list = [[] for _ in range(n)]
     for line in arc_lines:
         parts = line.split()
@@ -356,7 +338,7 @@ def parse_automaton(text: str):
         if lst and (lst[-1] == sink or dst != sink and labels[dst] <= labels[lst[-1]]):
             raise AutomatonError(f"arcs of node {src} are not in canonical order")
         lst.append(dst)
-    auto = _finalize(labels, succs, root, sink, w)
+    auto = _finalize(labels, succs, w)
     from .pph import annotate_increments, compute_suff  # pph imports this module
 
     suff = compute_suff(auto)

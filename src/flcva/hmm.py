@@ -161,7 +161,7 @@ _CONFIG_KEYS = ("states_per_letter", "self_loop_prob", "emission_peak", "alphabe
 def parse_config(text: str) -> HmmConfig:
     """key=value lines; alphabet is the concatenation of its symbols."""
     values: dict[str, str] = {}
-    for raw in text.splitlines():
+    for raw in text.split("\n"):  # str.splitlines also breaks at a form feed
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -171,6 +171,8 @@ def parse_config(text: str) -> HmmConfig:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise HmmConfigError(f"unknown config key: {key!r}")
+        if key in values:
+            raise HmmConfigError(f"config key {key!r} is given twice")
         values[key] = val.strip()
     if "alphabet" not in values:
         raise HmmConfigError("config is missing the alphabet")
@@ -201,7 +203,7 @@ def read_observations(text: str) -> list[tuple[list[str], str | None]]:
     """
     out: list[tuple[list[str], str | None]] = []
     truth: str | None = None
-    for raw in text.splitlines():
+    for raw in text.split("\n"):  # str.splitlines also breaks at a form feed
         line = raw.strip()
         if not line:
             continue

@@ -24,9 +24,9 @@ class ExpansionError(ValueError):
 class LexiconHMM:
     """Flat lexicon HMM; immutable after expansion.
 
-    States are numbered in topological order: automaton nodes laid out in
-    topological order, letter-HMM states left-to-right within each node, so
-    every non-self transition goes from a lower to a higher index.
+    States are numbered in topological order: automaton nodes laid out by
+    id, which is topological, letter-HMM states left-to-right within each
+    node, so every non-self transition goes from a lower to a higher index.
 
     Scores are packed into plain ints, `cost << pph_bits | pph`, where cost
     is the grid_cost of a log score (its negation in 2^-32 grid units) and
@@ -71,14 +71,15 @@ def expand(
     increments must be the automaton's own annotation, which keeps every
     pph prefix below W.
 
-    One walk in topological order lays out the states: every predecessor
-    of a node comes before it, so the node's entry list is complete when
-    the walk reaches it.  Each letter model's scores are packed once.
+    One walk over the node ids, which are topological, lays out the states:
+    every predecessor of a node comes before it, so the node's entry list is
+    complete when the walk reaches it.  Each letter model's scores are
+    packed once.
     """
     if len(increments) != automaton.node_count:
         raise ExpansionError("automaton is not annotated with increments")
     s_per = config.states_per_letter
-    labels = automaton.labels
+    labels, sink = automaton.labels, automaton.sink
     bits = (automaton.word_count - 1).bit_length()
 
     packed_scores: dict = {}  # log score -> packed cost; models share few values
@@ -96,9 +97,7 @@ def expand(
     state_node: list[int] = []
     emit_rows: list = []
     preds: list = []
-    for x in sorted(range(automaton.node_count), key=automaton.topo_index.__getitem__):
-        if x == automaton.sink:
-            continue
+    for x in range(sink):
         if x == automaton.root:
             exit_state, cross_w = START, 0
         else:
@@ -120,7 +119,7 @@ def expand(
                 preds.append(tuple(lst))
             exit_state = len(preds) - 1
         for y, dpph in zip(automaton.succs[x], increments[x]):
-            if y == automaton.sink:
+            if y == sink:
                 # no forward-release score on exit: letter models built from
                 # one config give every word the same one, and keeping the
                 # final score equal to the token score makes the tie-break

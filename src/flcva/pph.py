@@ -20,21 +20,20 @@ class PphError(ValueError):
 def compute_suff(automaton: NodeAutomaton) -> tuple[int, ...]:
     """Number of distinct node-to-sink paths, per node.
 
-    Single reverse-topological pass; suff(sink) = 1, suff(root) = W.
+    One pass over the ids in decreasing order, which is reverse topological;
+    suff(sink) = 1, suff(root) = W.
     """
-    n = automaton.node_count
-    suff = [0] * n
-    for node in sorted(range(n), key=lambda x: automaton.topo_index[x], reverse=True):
-        if node == automaton.sink:
-            suff[node] = 1
-        else:
-            total = 0
-            for s in automaton.succs[node]:
-                total += suff[s]
-            suff[node] = total
-    if suff[automaton.root] != automaton.word_count:
+    succs = automaton.succs
+    suff = [0] * len(succs)
+    suff[-1] = 1
+    for node in range(len(succs) - 2, -1, -1):
+        total = 0
+        for s in succs[node]:
+            total += suff[s]
+        suff[node] = total
+    if suff[0] != automaton.word_count:
         raise AutomatonError(
-            f"suff(root)={suff[automaton.root]} does not match word count "
+            f"suff(root)={suff[0]} does not match word count "
             f"{automaton.word_count}"
         )
     return tuple(suff)
@@ -83,18 +82,18 @@ def encode_word(
     word: str,
 ) -> int:
     """Path index of a lexicon word (its full path, sink arc included)."""
-    node = automaton.root
+    node, sink = automaton.root, automaton.sink
     value = 0
     for ch in word:
         for pos, s in enumerate(automaton.succs[node]):
-            if s != automaton.sink and automaton.labels[s] == ch:
+            if s != sink and automaton.labels[s] == ch:
                 value += increments[node][pos]
                 node = s
                 break
         else:
             raise PphError(f"word {word!r} is not in the automaton")
     try:
-        pos = automaton.succs[node].index(automaton.sink)
+        pos = automaton.succs[node].index(sink)
     except ValueError:
         raise PphError(f"word {word!r} is not in the automaton") from None
     return value + increments[node][pos]
@@ -111,16 +110,16 @@ def decode_pph(
     w = automaton.word_count
     if not 0 <= value < w:
         raise PphError(f"path index {value} outside [0, {w - 1}]")
-    node = automaton.root
+    node, sink = automaton.root, automaton.sink
     letters: list[str] = []
     remaining = value
-    while node != automaton.sink:
+    while node != sink:
         acc = 0
         for s in automaton.succs[node]:
             if remaining < acc + suff[s]:
                 remaining -= acc
                 node = s
-                if node != automaton.sink:
+                if node != sink:
                     letters.append(automaton.labels[node])
                 break
             acc += suff[s]

@@ -21,8 +21,8 @@ TOY_PPH = {"ab": 0, "ba": 1, "bb": 2, "bcd": 3, "bc": 4, "c": 5}
 ISOLATED_NODE_FILE = """flcva-automaton-v1
 NODES 4 ARCS 2 WORDS 1
 node 0 ROOT 0 1
-node 1 a 2 1
-node 2 b 1 0
+node 1 a 1 1
+node 2 b 2 0
 node 3 SINK 3 1
 arc 0 1 0
 arc 1 3 0

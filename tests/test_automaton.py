@@ -49,24 +49,38 @@ def test_stats(toy_trie, toy_dawg):
     assert (tiny.node_count, tiny.arc_count, tiny.arc_count / tiny.node_count) == (3, 2, 2 / 3)
 
 
-def test_topological_index_valid(toy_dawg):
-    topo = toy_dawg.topo_index
-    assert topo[toy_dawg.root] == min(topo)
-    assert topo[toy_dawg.sink] == max(topo)
-    for src, dst in toy_dawg.arcs():
-        assert topo[src] < topo[dst]
-    assert len(list(toy_dawg.arcs())) == 13
+def _assert_ids_topological(auto):
+    """Root 0 and the sink last, both unlabeled; every arc to a higher id."""
+    assert auto.labels[0] is None and auto.labels[-1] is None
+    assert (auto.root, auto.sink) == (0, auto.node_count - 1)
+    assert auto.succs[-1] == ()
+    for src, dst in auto.arcs():
+        assert src < dst
+
+
+BUILDERS = {
+    "build_trie": build_trie,
+    "build_dawg": build_dawg,
+    "minimize": lambda lex: minimize(build_trie(lex)),
+}
+
+
+def test_topological_index_valid(toy_lexicon):
+    for name, build in BUILDERS.items():
+        auto = build(toy_lexicon)
+        _assert_ids_topological(auto)
+        assert len(list(auto.arcs())) == (14 if name == "build_trie" else 13)
 
 
 def test_topological_index_chain():
-    auto = build_trie(Lexicon.from_words(["abc"]))
-    topo = auto.topo_index
-    # root -> a -> b -> c -> sink is strictly increasing
-    node = auto.root
-    while node != auto.sink:
-        nxt = auto.succs[node][0]
-        assert topo[node] < topo[nxt]
-        node = nxt
+    lex = Lexicon.from_words(["abc"])
+    for build in BUILDERS.values():
+        auto = build(lex)
+        # root -> a -> b -> c -> sink walks the ids in order
+        chain = [auto.root]
+        while chain[-1] != auto.sink:
+            chain.append(auto.succs[chain[-1]][0])
+        assert chain == [0, 1, 2, 3, 4]
 
 
 def test_empty_lexicon_rejected():
@@ -155,10 +169,10 @@ def test_compaction_on_shared_suffixes():
 )
 def test_language_preserved_property(words):
     lex = Lexicon.from_words(words)
-    dawg = minimize(build_trie(lex))
-    assert sorted(enumerate_paths_dfs(dawg)) == list(lex.words)
-    for src, dst in dawg.arcs():
-        assert dawg.topo_index[src] < dawg.topo_index[dst]
+    for build in BUILDERS.values():
+        auto = build(lex)
+        assert sorted(enumerate_paths_dfs(auto)) == list(lex.words)
+        _assert_ids_topological(auto)
 
 
 def _annotated_text(auto):
@@ -199,13 +213,96 @@ def test_annotated_serialization_round_trip(toy_annotated):
     assert enumerate_paths_dfs(auto2) == enumerate_paths_dfs(dawg)
 
 
+# Node ids are topological: ROOT first, then the letter nodes in reverse
+# order of their completion in a DFS over canonical arcs, SINK last.
+TOY_DAWG_FILE = """flcva-automaton-v1
+NODES 9 ARCS 13 WORDS 6
+node 0 ROOT 0 6
+node 1 c 1 1
+node 2 b 2 4
+node 3 c 3 2
+node 4 d 4 1
+node 5 a 5 1
+node 6 a 6 1
+node 7 b 7 1
+node 8 SINK 8 1
+arc 0 6 0
+arc 0 2 1
+arc 0 1 5
+arc 1 8 0
+arc 2 5 0
+arc 2 7 1
+arc 2 3 2
+arc 3 4 0
+arc 3 8 1
+arc 4 8 0
+arc 5 8 0
+arc 6 7 0
+arc 7 8 0
+"""
+
+
+def test_toy_dawg_file_is_golden(toy_lexicon):
+    assert _annotated_text(build_dawg(toy_lexicon)) == TOY_DAWG_FILE
+    assert parse_automaton(TOY_DAWG_FILE)[0] == build_dawg(toy_lexicon)
+
+
+# ROOT -a-> 1 -b-> 2 -> SINK, and 2 -a-> 1 closes a cycle.
+CYCLE_FILE = """flcva-automaton-v1
+NODES 4 ARCS 4 WORDS 1
+node 0 ROOT 0 1
+node 1 a 1 1
+node 2 b 2 1
+node 3 SINK 3 1
+arc 0 1 0
+arc 1 2 0
+arc 2 1 0
+arc 2 3 0
+"""
+
+# The toy DAWG numbered in preorder, as builds once wrote it (column 4 held
+# today's ids): node 3's arc to node 2 goes back, although no cycle exists.
+PREORDER_TOY_DAWG_FILE = """flcva-automaton-v1
+NODES 9 ARCS 13 WORDS 6
+node 0 ROOT 0 6
+node 1 a 6 1
+node 2 b 7 1
+node 3 b 2 4
+node 4 a 5 1
+node 5 c 3 2
+node 6 d 4 1
+node 7 c 1 1
+node 8 SINK 8 1
+arc 0 1 0
+arc 0 3 1
+arc 0 7 5
+arc 1 2 0
+arc 2 8 0
+arc 3 4 0
+arc 3 2 1
+arc 3 5 2
+arc 4 8 0
+arc 5 6 0
+arc 5 8 1
+arc 6 8 0
+arc 7 8 0
+"""
+
+
+@pytest.mark.parametrize(
+    "text", [CYCLE_FILE, PREORDER_TOY_DAWG_FILE], ids=["cycle", "preorder-ids"])
+def test_parse_rejects_arc_to_lower_id(text):
+    with pytest.raises(AutomatonError, match="does not go to a higher node id"):
+        parse_automaton(text)
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(AutomatonError):
         parse_automaton("not an automaton\n")
     with pytest.raises(AutomatonError):
         parse_automaton("flcva-automaton-v1\nNODES 1 ARCS 0\n")
     # a label is written back as read, so the line comparison cannot catch this
-    two_letters = "\n".join(TOY_DAWG_LINES).replace("node 1 a ", "node 1 ab ")
+    two_letters = "\n".join(TOY_DAWG_LINES).replace("node 6 a ", "node 6 ab ")
     with pytest.raises(AutomatonError, match="not one letter"):
         parse_automaton(two_letters)
 
@@ -214,8 +311,8 @@ def test_parse_rejects_garbage():
 DEAD_END_NODE_FILE = """flcva-automaton-v1
 NODES 4 ARCS 3 WORDS 1
 node 0 ROOT 0 1
-node 1 a 2 1
-node 2 b 1 0
+node 1 a 1 1
+node 2 b 2 0
 node 3 SINK 3 1
 arc 0 1 0
 arc 0 2 1
@@ -223,11 +320,12 @@ arc 1 3 0
 """
 
 
-@pytest.mark.parametrize(
-    "text", [ISOLATED_NODE_FILE, DEAD_END_NODE_FILE], ids=["isolated", "dead-end"]
-)
-def test_parse_rejects_node_off_every_word_path(text):
-    with pytest.raises(AutomatonError):
+@pytest.mark.parametrize("text, error", [
+    (ISOLATED_NODE_FILE, "node 2 is unreachable from the root"),
+    (DEAD_END_NODE_FILE, "node 2 cannot reach SINK"),
+], ids=["isolated", "dead-end"])
+def test_parse_rejects_node_off_every_word_path(text, error):
+    with pytest.raises(AutomatonError, match=error):
         parse_automaton(text)
 
 
@@ -236,6 +334,11 @@ def test_word_with_whitespace_rejected():
         read_wordlist("ab\na b\nc\n")
     with pytest.raises(AutomatonError, match="whitespace"):
         Lexicon.from_words(["a", " b"])
+    # only "\n" ends a line; a form feed or U+2028 inside a word is whitespace
+    for sep in "\x0c\u2028":
+        with pytest.raises(AutomatonError, match="whitespace"):
+            read_wordlist(f"ab{sep}cd\nba\n")
+    assert read_wordlist("ab\r\nba\r\n").words == ("ab", "ba")
 
 
 TOY_DAWG_LINES = _annotated_text(minimize(build_trie(Lexicon.from_words(TOY_WORDS)))).splitlines()

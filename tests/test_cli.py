@@ -294,29 +294,31 @@ def _assert_one_error_line(capsys) -> str:
 @pytest.mark.parametrize("target, old, new", [
     # "c" has path index 5: a smaller stored increment used to decode `c c c`
     # as "bc" with exit code 0, a larger one to raise an uncaught PphError
-    ("auto", "arc 0 7 5", "arc 0 7 4"),
-    ("auto", "arc 0 7 5", "arc 0 7 9"),
+    ("auto", "arc 0 1 5", "arc 0 1 4"),
+    ("auto", "arc 0 1 5", "arc 0 1 9"),
     ("auto", "NODES 9", "NODES x"),
     ("auto", "ARCS 13", "ARCS 1.5"),
     ("auto", "WORDS 6", "WORDS six"),
     ("auto", "WORDS 6", "WORDS 7"),
-    ("auto", "node 1 a", "node one a"),
-    ("auto", "node 1 a", "node 9 a"),
-    ("auto", "node 1 a", "node 2 a"),
+    ("auto", "node 6 a", "node six a"),
+    ("auto", "node 6 a", "node 9 a"),
+    ("auto", "node 6 a", "node 7 a"),
     ("auto", "node 0 ROOT", "node 0 SINK"),
     ("auto", "arc 7 8 0", "arc 7 12 0"),
     ("auto", "arc 7 8 0", "arc 7 0 0"),
-    ("auto", "arc 1 2 0", "arc 0 8 0"),
-    ("auto", "arc 1 2 0", "arc 1 2"),
+    ("auto", "arc 6 7 0", "arc 0 8 0"),
+    ("auto", "arc 6 7 0", "arc 6 7"),
     # with increments matching the swapped order this loaded, and `b b`
     # decoded to "bb" with path index 1 instead of its rank 2
-    ("auto", "arc 3 4 0\narc 3 2 1", "arc 3 2 0\narc 3 4 1"),
+    ("auto", "arc 2 5 0\narc 2 7 1", "arc 2 7 0\narc 2 5 1"),
     # the loader read only the fields it checked: each of these loaded
     ("auto", "arc 7 8 0", "arc 7 8 0\nhello world"),
-    ("auto", "node 2 b 7 1\nnode 3 b 2 4", "node 3 b 2 4\nnode 2 b 7 1"),
-    ("auto", "node 1 a", "node 1  a"),
+    ("auto", "node 5 a 5 1\nnode 6 a 6 1", "node 6 a 6 1\nnode 5 a 5 1"),
+    ("auto", "node 6 a", "node 6  a"),
     ("cfg", "states_per_letter=1", "states_per_letter=x"),
     ("cfg", "self_loop_prob=0.5", "self_loop_prob=half"),
+    # the later value silently won
+    ("cfg", "emission_peak=1.0", "emission_peak=1.0\nemission_peak=0.5"),
     # observation files are whitespace-delimited and mark comments with #:
     # `gen` wrote sequences that read back shorter, or as comments
     ("cfg", "alphabet=abcd", "alphabet=a bcd"),
@@ -384,13 +386,15 @@ def test_node_off_every_word_path_exits_2(toy_paths, capsys):
 
 
 def test_word_with_whitespace_exits_2(toy_paths, capsys):
-    # the automaton file is whitespace-delimited, so "a b" cannot be stored
+    # the automaton file is whitespace-delimited, so "a b" cannot be stored;
+    # str.splitlines broke "ab\fcd" into the words "ab" and "cd"
     wordlist, _config, tmp = toy_paths
-    wordlist.write_text("ab\na b\nc\n")
     out = tmp / "x.auto"
-    assert main(["build", str(wordlist), str(out), "--dawg"]) == 2
-    _assert_one_error_line(capsys)
-    assert not out.exists()
+    for text in ("ab\na b\nc\n", "ab\x0ccd\nba\n"):
+        wordlist.write_text(text)
+        assert main(["build", str(wordlist), str(out), "--dawg"]) == 2
+        _assert_one_error_line(capsys)
+        assert not out.exists()
 
 
 def test_undecodable_word_list_exits_2(toy_paths, capsys):

@@ -136,6 +136,14 @@ def test_config_parse_errors():
         parse_config("states_per_letter=3\n")  # missing alphabet
     with pytest.raises(HmmConfigError):
         parse_config("alphabet=ab\nno equals sign here".replace("=", "", 1))
+    with pytest.raises(HmmConfigError, match="'alphabet' is given twice"):
+        parse_config("alphabet=abcd\nstates_per_letter=1\nalphabet=ab\n")
+
+
+def test_observation_line_ends_only_at_newline():
+    # str.splitlines split this line at the form feed into two sequences
+    assert read_observations("a\x0cb c\n") == [(["a", "b", "c"], None)]
+    assert read_observations("# truth ab\u2028\na b\r\n") == [(["a", "b"], "ab")]
 
 
 def test_observation_file_round_trip():
