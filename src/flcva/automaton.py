@@ -9,7 +9,9 @@ path indexing (see pph.py) deterministic.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, Iterator
 
 ROOT_LABEL = "ROOT"
@@ -110,65 +112,18 @@ def _finalize(labels, succs, word_count) -> NodeAutomaton:
     )
 
 
-def build_trie(lexicon: Lexicon) -> NodeAutomaton:
-    """Build the trie node-automaton with a single shared sink.
+def _freeze_words(lexicon: Lexicon, intern) -> None:
+    """Freeze each node of the words' trie through intern, successors first.
 
-    One node per distinct word prefix; every word end routes to the sink.
-    The words must be strictly ascending, as Lexicon.from_words keeps them.
+    Daciuk, Mihov, Watson and Watson (Computational Linguistics 26(1), 2000):
+    only the previous word's path is open; when the next word leaves it, the
+    nodes past the common prefix are frozen deepest first.  A frozen node's
+    id is intern((label, successor ids)); the sink is 0, and the root, the
+    only unlabeled key, is interned last.  The words must be strictly
+    ascending, as Lexicon.from_words keeps them.
     """
     if lexicon.word_count == 0:
         raise AutomatonError("cannot build an automaton from an empty lexicon")
-
-    # In sorted word order, each word's new prefixes come up in preorder (a
-    # node before its children, siblings by ascending letter), so one pass
-    # numbers the trie nodes without recursion.
-    labels: list = [None]
-    succs: list = [[]]
-    terminal: list[int] = []
-    path = [0]  # node ids of the previous word's prefixes
-    prev = ""
-    for w in lexicon.words:
-        if w <= prev:
-            raise AutomatonError(
-                f"lexicon words must be non-empty and strictly ascending: {w!r} after {prev!r}"
-            )
-        k = 0
-        while k < len(prev) and k < len(w) and prev[k] == w[k]:
-            k += 1
-        del path[k + 1 :]
-        for ch in w[k:]:
-            cid = len(labels)
-            labels.append(ch)
-            succs.append([])
-            succs[path[-1]].append(cid)
-            path.append(cid)
-        terminal.append(path[-1])
-        prev = w
-    sink = len(labels)
-    labels.append(None)
-    succs.append([])
-    for node in terminal:
-        succs[node].append(sink)  # after every letter arc
-    return _finalize(labels, succs, lexicon.word_count)
-
-
-def build_dawg(lexicon: Lexicon) -> NodeAutomaton:
-    """Build the minimal node-automaton (DAWG) straight from the sorted words.
-
-    Daciuk, Mihov, Watson and Watson's incremental construction
-    (Computational Linguistics 26(1), 2000): only the previous word's path is
-    open; when the next word leaves it, the nodes past the common prefix are
-    frozen deepest first, each replaced by an equal node (same label, same
-    successors) already in the register, or registered itself.  The trie is
-    never built, so memory stays proportional to the DAWG.  The result equals
-    minimize(build_trie(lexicon)).
-    """
-    if lexicon.word_count == 0:
-        raise AutomatonError("cannot build an automaton from an empty lexicon")
-    sink = 0
-    # (label, successor ids) -> node id; frozen nodes are numbered from 1 in
-    # insertion order, after the sink.
-    register: dict = {}
     # The open path: [label, successor ids, ends a word] per prefix, root first.
     path: list = [[None, [], False]]
 
@@ -176,9 +131,8 @@ def build_dawg(lexicon: Lexicon) -> NodeAutomaton:
         for _ in range(len(path) - depth):
             label, children, final = path.pop()
             if final:
-                children.append(sink)  # after every letter arc
-            key = (label, tuple(children))
-            path[-1][1].append(register.setdefault(key, len(register) + 1))
+                children.append(0)  # the sink, after every letter arc
+            path[-1][1].append(intern((label, tuple(children))))
 
     prev = ""
     for w in lexicon.words:
@@ -196,59 +150,62 @@ def build_dawg(lexicon: Lexicon) -> NodeAutomaton:
         path[-1][2] = True
         prev = w
     freeze(1)
-    # A node is frozen after its successors, so ids in reverse freeze order
-    # are topological: the root, the register from its newest entry, the sink.
-    last = len(register) + 1
-    nodes = [(None, path[0][1]), *reversed(register), (None, ())]
+    intern((None, tuple(path[0][1])))
+
+
+def _numbered(interned, word_count: int) -> NodeAutomaton:
+    """The automaton of the interned (label, successor ids) keys, their ids
+    counting up from 1 in interning order and the sink 0.  Each node is
+    interned after its successors, so reverse interning order is topological.
+    """
+    last = len(interned)
+    nodes = [*reversed(interned), (None, ())]
     return _finalize([label for label, _ in nodes],
-                     [[last - c for c in kids] for _, kids in nodes], lexicon.word_count)
+                     [[last - c for c in kids] for _, kids in nodes], word_count)
+
+
+def build_trie(lexicon: Lexicon) -> NodeAutomaton:
+    """Build the trie node-automaton with a single shared sink.
+
+    One node per distinct word prefix; every word end routes to the sink.
+    Every frozen node is a new node, so ids are in reverse freeze order.
+    """
+    nodes: list = []
+
+    def new_node(key) -> int:
+        nodes.append(key)
+        return len(nodes)
+
+    _freeze_words(lexicon, new_node)
+    return _numbered(nodes, lexicon.word_count)
+
+
+def build_dawg(lexicon: Lexicon) -> NodeAutomaton:
+    """Build the minimal node-automaton (DAWG) straight from the sorted words.
+
+    The walk of build_trie, but a frozen node equal to one in the register
+    (same label, same successors) is replaced by it, so the trie is never
+    built.  The result equals minimize(build_trie(lexicon)).
+    """
+    register = defaultdict(count(1).__next__)  # (label, successor ids) -> id
+    _freeze_words(lexicon, register.__getitem__)
+    return _numbered(register, lexicon.word_count)
 
 
 def minimize(trie: NodeAutomaton) -> NodeAutomaton:
     """Merge nodes with equal letter label and equal right language.
 
-    Bottom-up hash-consing on (label, successor representative ids); processes
-    nodes in decreasing id order, which is reverse topological, so successors
-    are resolved first.  Preserves the language and the canonical successor
-    ordering.  This is the reference that build_dawg must match, and the
-    benchmark's traced trie-then-minimize set-up; the CLI builds DAWGs with
-    build_dawg.
+    Hash-conses each node on (label, successor representative ids) into
+    build_dawg's register, in decreasing id order, which is reverse
+    topological; a trie's decreasing ids are its freeze order, so the result
+    equals build_dawg's.  This is the reference that build_dawg must match,
+    and the benchmark's traced trie-then-minimize set-up.
     """
-    rep = list(range(trie.node_count))  # the sink stands for itself
-    register: dict = {}
-    succs: list = [()] * trie.node_count
+    register = defaultdict(count(1).__next__)
+    rep = [0] * trie.node_count  # the sink stands for itself
     for node in reversed(range(trie.sink)):
-        succs[node] = tuple(rep[s] for s in trie.succs[node])
-        # the root is the only unlabeled node here, so it stands for itself
-        rep[node] = register.setdefault((trie.labels[node], succs[node]), node)
-    return _renumbered(trie.labels, succs, trie.word_count)
-
-
-def _renumbered(labels, succs, word_count: int) -> NodeAutomaton:
-    """The part of a graph reachable from its root 0, numbered in reverse DFS
-    postorder (successors in canonical order): topological, with the root
-    first and the sink, the first node to complete, last.
-
-    labels and succs are indexed by the graph's own node ids; nodes that
-    the root cannot reach are dropped.
-    """
-    post: list = []
-    seen = [False] * len(labels)
-    seen[0] = True
-    stack = [(0, iter(succs[0]))]
-    while stack:
-        node, it = stack[-1]
-        x = next(it, None)
-        if x is None:
-            stack.pop()
-            post.append(node)
-        elif not seen[x]:
-            seen[x] = True
-            stack.append((x, iter(succs[x])))
-    post.reverse()
-    new_id = {old: i for i, old in enumerate(post)}
-    return _finalize([labels[x] for x in post],
-                     [[new_id[s] for s in succs[x]] for x in post], word_count)
+        rep[node] = register[(trie.labels[node], tuple([rep[s] for s in trie.succs[node]]))]
+    return _numbered(register, trie.word_count)
 
 
 def serialize_automaton(

@@ -78,7 +78,6 @@ def expand(
     """
     if len(increments) != automaton.node_count:
         raise ExpansionError("automaton is not annotated with increments")
-    s_per = config.states_per_letter
     labels, sink = automaton.labels, automaton.sink
     bits = (automaton.word_count - 1).bit_length()
 
@@ -111,9 +110,9 @@ def expand(
                     tuple(tuple(map(pack, row)) for row in hmm.log_emissions))
             w_self, cross_w, rows = model
             first = len(preds)
-            for k in range(s_per):
+            for k, row in enumerate(rows):
                 state_node.append(x)
-                emit_rows.append(rows[k])
+                emit_rows.append(row)
                 lst = entries[x] if k == 0 else [(first + k - 1, cross_w)]
                 lst.append((first + k, w_self))
                 preds.append(tuple(lst))

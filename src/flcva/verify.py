@@ -10,8 +10,9 @@ import random
 from dataclasses import dataclass
 
 from .automaton import Lexicon, build_dawg
+from .bench import generate_sequences
 from .decode import nbest_improved, nbest_naive, viterbi_flipflop, viterbi_inplace, viterbi_tabular
-from .hmm import HmmConfig, make_letter_hmms, sample_observations
+from .hmm import HmmConfig, make_letter_hmms
 from .lexhmm import expand
 from .oracle import enumerate_paths_dfs, nbest_exhaustive
 from .pph import annotate_increments, compute_suff, decode_pph, encode_word
@@ -57,11 +58,8 @@ def run_verify(lexicon: Lexicon, config: HmmConfig, instances: int, seed: int) -
     )
     lexhmm = expand(auto, increments, letter_hmms, config)
     rng = random.Random(seed)
-    for inst in range(instances):
-        word = rng.choice(lexicon.words)
-        obs_seed = rng.randrange(2**31)
-        obs = sample_observations(word, config, obs_seed)
-        replay = f"instance {inst}: word={word!r} obs_seed={obs_seed} obs={' '.join(obs)}"
+    for inst, (obs, word) in enumerate(generate_sequences(lexicon, config, instances, seed)):
+        replay = f"instance {inst}: word={word!r} obs={' '.join(obs)}"
 
         tab = viterbi_tabular(lexhmm, obs)
         flip = viterbi_flipflop(lexhmm, obs)

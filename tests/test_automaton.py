@@ -7,16 +7,19 @@ from flcva import (
     Lexicon,
     build_dawg,
     build_trie,
+    expand,
+    make_letter_hmms,
     minimize,
     parse_automaton,
     read_wordlist,
     serialize_automaton,
 )
+from flcva.decode import NBEST_VARIANTS, VARIANTS, format_result
 from flcva.oracle import enumerate_paths_dfs
 from flcva.pph import annotate_increments, compute_suff, encode_word
 from flcva.synth import random_lexicon, synthetic_lexicon
 
-from conftest import ISOLATED_NODE_FILE, TOY_WORDS
+from conftest import ISOLATED_NODE_FILE, TOY_WORDS, uniform_config
 
 
 def test_toy_trie_has_ten_nodes(toy_trie):
@@ -198,6 +201,25 @@ def test_build_dawg_equals_minimized_trie(lex):
     assert _annotated_text(build_dawg(lex)) == _annotated_text(minimize(build_trie(lex)))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sets(st.text(alphabet="abc", min_size=1, max_size=6), min_size=1, max_size=40)
+)
+def test_minimize_leaves_a_dawg_as_it_is_property(words):
+    lex = Lexicon.from_words(words)
+    assert _annotated_text(minimize(build_dawg(lex))) == _annotated_text(build_dawg(lex))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sets(st.text(alphabet="abc", min_size=1, max_size=6), min_size=1, max_size=40)
+)
+def test_trie_has_one_node_per_prefix_property(words):
+    prefixes = {w[:k] for w in words for k in range(1, len(w) + 1)}
+    # plus the root (the empty prefix) and the sink
+    assert build_trie(Lexicon.from_words(words)).node_count == len(prefixes) + 2
+
+
 def test_read_wordlist_ignores_blank_lines():
     lex = read_wordlist("ab\n\n  \nc\nab\n")
     assert lex.words == ("ab", "c")
@@ -245,6 +267,98 @@ arc 7 8 0
 def test_toy_dawg_file_is_golden(toy_lexicon):
     assert _annotated_text(build_dawg(toy_lexicon)) == TOY_DAWG_FILE
     assert parse_automaton(TOY_DAWG_FILE)[0] == build_dawg(toy_lexicon)
+
+
+# Trie ids are in reverse freeze order: a node is frozen once the sorted
+# words leave it, after its successors, and gets the next id down.
+TOY_TRIE_FILE = """flcva-automaton-v1
+NODES 10 ARCS 14 WORDS 6
+node 0 ROOT 0 6
+node 1 c 1 1
+node 2 b 2 4
+node 3 c 3 2
+node 4 d 4 1
+node 5 b 5 1
+node 6 a 6 1
+node 7 a 7 1
+node 8 b 8 1
+node 9 SINK 9 1
+arc 0 7 0
+arc 0 2 1
+arc 0 1 5
+arc 1 9 0
+arc 2 6 0
+arc 2 5 1
+arc 2 3 2
+arc 3 4 0
+arc 3 9 1
+arc 4 9 0
+arc 5 9 0
+arc 6 9 0
+arc 7 8 0
+arc 8 9 0
+"""
+
+
+def test_toy_trie_file_is_golden(toy_lexicon):
+    assert _annotated_text(build_trie(toy_lexicon)) == TOY_TRIE_FILE
+    assert parse_automaton(TOY_TRIE_FILE)[0] == build_trie(toy_lexicon)
+
+
+# The toy trie as build_trie once numbered it, in preorder (a node before
+# its children, siblings by ascending letter): topological as well.
+PREORDER_TOY_TRIE_FILE = """flcva-automaton-v1
+NODES 10 ARCS 14 WORDS 6
+node 0 ROOT 0 6
+node 1 a 1 1
+node 2 b 2 1
+node 3 b 3 4
+node 4 a 4 1
+node 5 b 5 1
+node 6 c 6 2
+node 7 d 7 1
+node 8 c 8 1
+node 9 SINK 9 1
+arc 0 1 0
+arc 0 3 1
+arc 0 8 5
+arc 1 2 0
+arc 2 9 0
+arc 3 4 0
+arc 3 5 1
+arc 3 6 2
+arc 4 9 0
+arc 5 9 0
+arc 6 7 0
+arc 6 9 1
+arc 7 9 0
+arc 8 9 0
+"""
+
+
+def test_minimize_of_a_preorder_trie(toy_dawg):
+    # ids that are topological but not build_trie's freeze order
+    dawg = minimize(parse_automaton(PREORDER_TOY_TRIE_FILE)[0])
+    assert dawg.node_count == 9
+    assert enumerate_paths_dfs(dawg) == enumerate_paths_dfs(toy_dawg)
+    _assert_ids_topological(dawg)
+
+
+def test_preorder_trie_file_decodes_like_a_new_trie(toy_lexicon):
+    cfg = uniform_config()  # every emission ties, so the tie-break decides
+    hmms = make_letter_hmms("abcd", cfg)
+    obs = ["b", "c", "a"]
+
+    def outputs(auto, incs):
+        lexhmm = expand(auto, incs, hmms, cfg)
+        out = [format_result(fn(lexhmm, obs)) for fn in VARIANTS.values()]
+        for n in (1, 2, 6):
+            out += [format_result(fn(lexhmm, obs, n)) for fn in NBEST_VARIANTS.values()]
+        return out
+
+    trie = build_trie(toy_lexicon)
+    old = parse_automaton(PREORDER_TOY_TRIE_FILE)
+    assert outputs(old[0], old[2]) == outputs(trie, annotate_increments(trie, compute_suff(trie)))
 
 
 # ROOT -a-> 1 -b-> 2 -> SINK, and 2 -a-> 1 closes a cycle.

@@ -4,6 +4,7 @@ from flcva import (
     START,
     ExpansionError,
     Lexicon,
+    build_dawg,
     build_trie,
     expand,
     make_letter_hmms,
@@ -38,6 +39,16 @@ def test_states_scale_with_config(toy_annotated):
     hmms = make_letter_hmms("abcd", cfg)
     lexhmm = expand(dawg, inc, hmms, cfg)
     assert lexhmm.n_states == 2 * 7
+
+
+@pytest.mark.parametrize("model_states, config_states", [(2, 3), (3, 2)])
+def test_states_per_node_come_from_the_letter_models(model_states, config_states):
+    dawg = build_dawg(Lexicon.from_words(["ab", "b"]))  # letter nodes a and b
+    inc = annotate_increments(dawg, compute_suff(dawg))
+    hmms = make_letter_hmms("ab", onehot_config(states=model_states))
+    lexhmm = expand(dawg, inc, hmms, onehot_config(states=config_states))
+    assert lexhmm.n_states == 2 * model_states
+    assert lexhmm == expand(dawg, inc, hmms, onehot_config(states=model_states))
 
 
 def test_cross_node_transition_carries_increment(toy_lexhmm_onehot):
