@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count
-from typing import Iterable, Iterator
+from typing import Iterable
 
 ROOT_LABEL = "ROOT"
 SINK_LABEL = "SINK"
@@ -53,7 +53,8 @@ class NodeAutomaton:
     """Rooted DAG of letter-labeled nodes with a common sink.
 
     Node ids are a topological order: the root is node 0, the sink the last
-    node, and every arc goes from a lower to a higher id.
+    node, and every arc goes from a lower to a higher id.  The builders give
+    such ids by construction; parse_automaton checks them in a file.
     labels[i] is the letter of node i, or None for root/sink.
     succs[i] is the canonical-order successor id tuple of node i.
     """
@@ -76,12 +77,6 @@ class NodeAutomaton:
     def arc_count(self) -> int:
         return sum(len(s) for s in self.succs)
 
-    def arcs(self) -> Iterator[tuple[int, int]]:
-        """All arcs as (src, dst), grouped by src, in canonical succ order."""
-        for src, lst in enumerate(self.succs):
-            for dst in lst:
-                yield src, dst
-
 
 def read_wordlist(text: str) -> Lexicon:
     """Parse a UTF-8 word list: one word per line, blank lines ignored."""
@@ -89,27 +84,6 @@ def read_wordlist(text: str) -> Lexicon:
     # form feed or another Unicode line boundary, which is whitespace inside it
     words = [line.strip() for line in text.split("\n")]
     return Lexicon.from_words(w for w in words if w)
-
-
-def _finalize(labels, succs, word_count) -> NodeAutomaton:
-    """The automaton with these nodes, whose ids must be topological.
-
-    Every arc must go to a higher id, which rules out cycles, and every node
-    but the root 0 must have an arc in, so the root reaches every node.
-    """
-    entered = [False] * len(labels)
-    for src, lst in enumerate(succs):
-        for dst in lst:
-            if dst <= src:
-                raise AutomatonError(f"arc {src} -> {dst} does not go to a higher node id")
-            entered[dst] = True
-    if False in entered[1:]:
-        raise AutomatonError(f"node {entered.index(False, 1)} is unreachable from the root")
-    return NodeAutomaton(
-        labels=tuple(labels),
-        succs=tuple(tuple(s) for s in succs),
-        word_count=word_count,
-    )
 
 
 def _freeze_words(lexicon: Lexicon, intern) -> None:
@@ -160,8 +134,8 @@ def _numbered(interned, word_count: int) -> NodeAutomaton:
     """
     last = len(interned)
     nodes = [*reversed(interned), (None, ())]
-    return _finalize([label for label, _ in nodes],
-                     [[last - c for c in kids] for _, kids in nodes], word_count)
+    succs = tuple([tuple([last - c for c in kids]) for _, kids in nodes])
+    return NodeAutomaton(tuple([label for label, _ in nodes]), succs, word_count)
 
 
 def build_trie(lexicon: Lexicon) -> NodeAutomaton:
@@ -235,16 +209,17 @@ def parse_automaton(text: str):
 
     Only the structure is read: each node's label, by the position of its
     line, and each arc's two ends.  ROOT must be the first node and SINK the
-    last.  The automaton goes through the same constructor as build_trie and
-    build_dawg, so an arc to a lower or equal id (every cycle has one) and a
-    node unreachable from ROOT are rejected; so is a node that cannot reach
-    SINK.  Each node's arcs must be in canonical order (letters strictly
-    ascending, then at most one sink arc), or path indices would stop being
-    lexicographic ranks.  The file then loads only if its lines equal those
-    serialize_automaton writes for the rebuilt automaton, so a stored id,
-    suff or increment that does not match, a reordered line, a reformatted
-    field or trailing text fails here instead of decoding to a wrong word.
-    Line endings and a missing final newline do not matter.
+    last.  This is the only place that checks an automaton's structure: an
+    arc must go to a higher id (which rules out cycles, arcs into ROOT and
+    arcs out of SINK), every node but ROOT must have an arc in, so ROOT
+    reaches it, and every node must reach SINK.  Each node's arcs must be in
+    canonical order (letters strictly ascending, then at most one sink arc),
+    or path indices would stop being lexicographic ranks.  The file then
+    loads only if its lines equal those serialize_automaton writes for the
+    rebuilt automaton, so a stored id, suff or increment that does not
+    match, a reordered line, a reformatted field or trailing text fails here
+    instead of decoding to a wrong word.  Line endings and a missing final
+    newline do not matter.
     """
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_VERSION:
@@ -275,8 +250,9 @@ def parse_automaton(text: str):
     for i in range(1, n - 1):
         if len(labels[i]) != 1:
             raise AutomatonError(f"node {i} label {labels[i]!r} is not one letter")
-    root, sink = 0, n - 1
+    sink = n - 1
     succs: list = [[] for _ in range(n)]
+    entered = [False] * n
     for line in arc_lines:
         parts = line.split()
         if len(parts) != 4 or parts[0] != "arc":
@@ -285,17 +261,19 @@ def parse_automaton(text: str):
             src, dst = int(parts[1]), int(parts[2])
         except ValueError:
             raise AutomatonError(f"arc ends are not integers: {line!r}") from None
-        if not (0 <= src < n and 0 <= dst < n):
-            raise AutomatonError(f"arc {src} -> {dst} leaves node ids [0, {n - 1}]")
-        if dst == root or src == sink:
-            raise AutomatonError(f"arc {src} -> {dst} enters ROOT or leaves SINK")
-        if src == root and dst == sink:
+        if not 0 <= src < dst < n:
+            raise AutomatonError(
+                f"arc {src} -> {dst} does not go to a higher node id in [0, {sink}]")
+        if src == 0 and dst == sink:
             raise AutomatonError("arc ROOT -> SINK spells the empty word")
         lst = succs[src]
         if lst and (lst[-1] == sink or dst != sink and labels[dst] <= labels[lst[-1]]):
             raise AutomatonError(f"arcs of node {src} are not in canonical order")
         lst.append(dst)
-    auto = _finalize(labels, succs, w)
+        entered[dst] = True
+    if False in entered[1:]:
+        raise AutomatonError(f"node {entered.index(False, 1)} is unreachable from the root")
+    auto = NodeAutomaton(tuple(labels), tuple(map(tuple, succs)), w)
     from .pph import annotate_increments, compute_suff  # pph imports this module
 
     suff = compute_suff(auto)

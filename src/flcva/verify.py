@@ -57,7 +57,8 @@ def run_verify(lexicon: Lexicon, config: HmmConfig, instances: int, seed: int) -
         {ch for w in lexicon.words for ch in w}, config
     )
     lexhmm = expand(auto, increments, letter_hmms, config)
-    rng = random.Random(seed)
+    # apart from generate_sequences' Random(seed), or a word would fix its n
+    rng = random.Random(f"nbest:{seed}")
     for inst, (obs, word) in enumerate(generate_sequences(lexicon, config, instances, seed)):
         replay = f"instance {inst}: word={word!r} obs={' '.join(obs)}"
 

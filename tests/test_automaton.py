@@ -57,8 +57,8 @@ def _assert_ids_topological(auto):
     assert auto.labels[0] is None and auto.labels[-1] is None
     assert (auto.root, auto.sink) == (0, auto.node_count - 1)
     assert auto.succs[-1] == ()
-    for src, dst in auto.arcs():
-        assert src < dst
+    for src, lst in enumerate(auto.succs):
+        assert all(src < dst for dst in lst)
 
 
 BUILDERS = {
@@ -68,14 +68,14 @@ BUILDERS = {
 }
 
 
-def test_topological_index_valid(toy_lexicon):
+def test_builder_ids_are_topological(toy_lexicon):
     for name, build in BUILDERS.items():
         auto = build(toy_lexicon)
         _assert_ids_topological(auto)
-        assert len(list(auto.arcs())) == (14 if name == "build_trie" else 13)
+        assert auto.arc_count == (14 if name == "build_trie" else 13)
 
 
-def test_topological_index_chain():
+def test_builder_ids_follow_a_one_word_chain():
     lex = Lexicon.from_words(["abc"])
     for build in BUILDERS.values():
         auto = build(lex)
@@ -176,6 +176,8 @@ def test_language_preserved_property(words):
         auto = build(lex)
         assert sorted(enumerate_paths_dfs(auto)) == list(lex.words)
         _assert_ids_topological(auto)
+        # the loader's structure checks hold for every builder's output
+        assert parse_automaton(_annotated_text(auto))[0] == auto
 
 
 def _annotated_text(auto):
@@ -403,8 +405,17 @@ arc 7 8 0
 """
 
 
+# Each in place of the toy DAWG's "arc 7 8 0": one ordered-range test
+# rejects every arc that does not go up within the node ids.
+NOT_UP_ARCS = ["arc 7 7 0", "arc 8 7 0", "arc 7 0 0", "arc 7 9 0", "arc -1 8 0"]
+
+
 @pytest.mark.parametrize(
-    "text", [CYCLE_FILE, PREORDER_TOY_DAWG_FILE], ids=["cycle", "preorder-ids"])
+    "text",
+    [CYCLE_FILE, PREORDER_TOY_DAWG_FILE,
+     *(TOY_DAWG_FILE.replace("arc 7 8 0", line) for line in NOT_UP_ARCS)],
+    ids=["cycle", "preorder-ids", "self-loop", "out-of-sink", "into-root", "past-last-id",
+         "negative-id"])
 def test_parse_rejects_arc_to_lower_id(text):
     with pytest.raises(AutomatonError, match="does not go to a higher node id"):
         parse_automaton(text)

@@ -306,6 +306,8 @@ def _assert_one_error_line(capsys) -> str:
     ("auto", "node 0 ROOT", "node 0 SINK"),
     ("auto", "arc 7 8 0", "arc 7 12 0"),
     ("auto", "arc 7 8 0", "arc 7 0 0"),
+    ("auto", "arc 7 8 0", "arc 7 7 0"),
+    ("auto", "arc 7 8 0", "arc 8 7 0"),
     ("auto", "arc 6 7 0", "arc 0 8 0"),
     ("auto", "arc 6 7 0", "arc 6 7"),
     # with increments matching the swapped order this loaded, and `b b`

@@ -31,10 +31,18 @@ def _short_run(trace):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+    return result
 
 
 def test_short_traced_benchmark_run_is_correct():
-    _short_run("1")
+    metrics = {k: v["value"] for k, v in _short_run("1")["metrics"].items()}
+    # the checks of perfbench/selftest.py that one run can show: every
+    # 1-best decoder does exactly the predicted work, and the seed-1
+    # suffix10k automata have their known sizes
+    for variant in ("tabular", "flipflop", "inplace"):
+        assert metrics[f"decode.{variant}.ops_per_predicted"] == 1.0
+    assert (metrics["automaton.dawg_nodes"], metrics["automaton.dawg_arcs"],
+            metrics["automaton.trie_nodes"]) == (315, 603, 30076)
 
 
 def test_short_untraced_benchmark_run_is_correct():
