@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, compress, count, islice, repeat
+from operator import lt, ne
 from typing import Iterable
 
 ROOT_LABEL = "ROOT"
@@ -26,22 +27,31 @@ class AutomatonError(ValueError):
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Deduplicated, sorted word list."""
+    """Deduplicated, sorted word list.
+
+    from_words sorts the words once, as a list: Timsort takes linear time on
+    a list that is already sorted, as a word-list file usually is.  Equal
+    words are then adjacent, so duplicates are dropped by comparing each
+    word with the one before it; no hash set of the words is built.
+    """
 
     words: tuple[str, ...]
 
     @classmethod
     def from_words(cls, words: Iterable[str]) -> "Lexicon":
-        seen = set(words)
-        if "" in seen:
+        words = sorted(words)
+        if words and not words[0]:
             raise AutomatonError("empty word is not allowed in a lexicon")
+        # keep the first word and each word unequal to the one before it
+        unique = words[:1]
+        unique += compress(islice(words, 1, None), map(ne, islice(words, 1, None), words))
         # The automaton file is whitespace-delimited; one split of all the
         # words joined finds any whitespace without a per-word loop.
-        joined = "".join(seen)
-        if seen and joined.split() != [joined]:
-            bad = min(w for w in seen if w.split() != [w])
+        joined = "".join(unique)
+        if unique and joined.split() != [joined]:
+            bad = next(w for w in unique if w.split() != [w])
             raise AutomatonError(f"word {bad!r} contains whitespace")
-        return cls(tuple(sorted(seen)))
+        return cls(tuple(unique))
 
     @property
     def word_count(self) -> int:
@@ -77,13 +87,17 @@ class NodeAutomaton:
     def arc_count(self) -> int:
         return sum(len(s) for s in self.succs)
 
+    @property
+    def letters(self) -> set:
+        """The letters of the letter nodes, those between root and sink."""
+        return set(self.labels[1:-1])
+
 
 def read_wordlist(text: str) -> Lexicon:
     """Parse a UTF-8 word list: one word per line, blank lines ignored."""
     # only "\n" ends a line: str.splitlines would also break a word at a
     # form feed or another Unicode line boundary, which is whitespace inside it
-    words = [line.strip() for line in text.split("\n")]
-    return Lexicon.from_words(w for w in words if w)
+    return Lexicon.from_words(filter(None, map(str.strip, text.split("\n"))))
 
 
 def _freeze_words(lexicon: Lexicon, intern) -> None:
@@ -92,50 +106,58 @@ def _freeze_words(lexicon: Lexicon, intern) -> None:
     Daciuk, Mihov, Watson and Watson (Computational Linguistics 26(1), 2000):
     only the previous word's path is open; when the next word leaves it, the
     nodes past the common prefix are frozen deepest first.  A frozen node's
-    id is intern((label, successor ids)); the sink is 0, and the root, the
-    only unlabeled key, is interned last.  The words must be strictly
+    id is intern((label, *successor ids)); the sink is 0, and the root, the
+    only key with label None, is interned last.  The words must be strictly
     ascending, as Lexicon.from_words keeps them.
     """
-    if lexicon.word_count == 0:
+    words = lexicon.words
+    if not words:
         raise AutomatonError("cannot build an automaton from an empty lexicon")
-    # The open path: [label, successor ids, ends a word] per prefix, root first.
-    path: list = [[None, [], False]]
-
-    def freeze(depth: int) -> None:
-        for _ in range(len(path) - depth):
-            label, children, final = path.pop()
-            if final:
-                children.append(0)  # the sink, after every letter arc
-            path[-1][1].append(intern((label, tuple(children))))
-
+    if not all(map(lt, chain(("",), words), words)):
+        prev, w = next(p for p in zip(chain(("",), words), words) if p[0] >= p[1])
+        raise AutomatonError(
+            f"lexicon words must be non-empty and strictly ascending: {w!r} after {prev!r}"
+        )
+    # The open path holds the previous word's proper prefixes, root first,
+    # as two parallel lists: each node's [label, successor ids...] and
+    # whether it ends a word.  The previous word's last node is not on it:
+    # until a word extends prev, its one successor is the sink, so it is
+    # frozen as (prev[-1], 0) without a list.
+    path: list = [[None]]
+    final = [False]
     prev = ""
-    for w in lexicon.words:
-        if w <= prev:
-            raise AutomatonError(
-                f"lexicon words must be non-empty and strictly ascending: {w!r} after {prev!r}"
-            )
+    # the empty word at the end shares no prefix, so it freezes all but the root
+    for w in chain(words, ("",)):
         k = 0
         for a, b in zip(prev, w):
             if a != b:
                 break
             k += 1
-        freeze(k + 1)
-        path.extend([ch, [], False] for ch in w[k:])
-        path[-1][2] = True
+        if k < len(prev):
+            path[-1].append(intern((prev[-1], 0)))
+            for _ in range(len(path) - 1 - k):
+                node = path.pop()
+                if final.pop():
+                    node.append(0)  # the sink, after every letter arc
+                path[-1].append(intern(tuple(node)))
+        elif prev:  # w extends prev, whose last node now gets letter arcs
+            path.append([prev[-1]])
+            final.append(True)
+        path += map(list, w[k:-1])
+        final += repeat(False, len(w) - k - 1)
         prev = w
-    freeze(1)
-    intern((None, tuple(path[0][1])))
+    intern(tuple(path[0]))
 
 
 def _numbered(interned, word_count: int) -> NodeAutomaton:
-    """The automaton of the interned (label, successor ids) keys, their ids
+    """The automaton of the interned (label, *successor ids) keys, their ids
     counting up from 1 in interning order and the sink 0.  Each node is
     interned after its successors, so reverse interning order is topological.
     """
     last = len(interned)
-    nodes = [*reversed(interned), (None, ())]
-    succs = tuple([tuple([last - c for c in kids]) for _, kids in nodes])
-    return NodeAutomaton(tuple([label for label, _ in nodes]), succs, word_count)
+    nodes = [*reversed(interned), (None,)]
+    succs = tuple([tuple([last - c for c in key[1:]]) for key in nodes])
+    return NodeAutomaton(tuple([key[0] for key in nodes]), succs, word_count)
 
 
 def build_trie(lexicon: Lexicon) -> NodeAutomaton:
@@ -161,7 +183,7 @@ def build_dawg(lexicon: Lexicon) -> NodeAutomaton:
     (same label, same successors) is replaced by it, so the trie is never
     built.  The result equals minimize(build_trie(lexicon)).
     """
-    register = defaultdict(count(1).__next__)  # (label, successor ids) -> id
+    register = defaultdict(count(1).__next__)  # (label, *successor ids) -> id
     _freeze_words(lexicon, register.__getitem__)
     return _numbered(register, lexicon.word_count)
 
@@ -178,7 +200,7 @@ def minimize(trie: NodeAutomaton) -> NodeAutomaton:
     register = defaultdict(count(1).__next__)
     rep = [0] * trie.node_count  # the sink stands for itself
     for node in reversed(range(trie.sink)):
-        rep[node] = register[(trie.labels[node], tuple([rep[s] for s in trie.succs[node]]))]
+        rep[node] = register[(trie.labels[node], *[rep[s] for s in trie.succs[node]])]
     return _numbered(register, trie.word_count)
 
 

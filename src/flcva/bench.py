@@ -57,15 +57,13 @@ def generate_sequences(
 def run_bench(
     lexicon: Lexicon, config: HmmConfig, sequences: int, seed: int
 ) -> list[BenchRow]:
-    letter_hmms = make_letter_hmms(
-        {ch for w in lexicon.words for ch in w}, config
-    )
+    trie, dawg = build_trie(lexicon), build_dawg(lexicon)
+    letter_hmms = make_letter_hmms(dawg.letters, config)
     obs_set = generate_sequences(lexicon, config, sequences, seed)
     t_total = sum(len(obs) for obs, _ in obs_set)
 
-    structures = (("trie", build_trie(lexicon)), ("dawg", build_dawg(lexicon)))
     rows: list[BenchRow] = []
-    for name, auto in structures:
+    for name, auto in (("trie", trie), ("dawg", dawg)):
         increments = annotate_increments(auto, compute_suff(auto))
         lexhmm = expand(auto, increments, letter_hmms, config)
         mean_preds = lexhmm.n_arcs / lexhmm.n_states

@@ -95,8 +95,7 @@ def cmd_decode(args) -> int:
     auto, _, increments = parse_automaton(_read(args.automaton))
     n = auto.word_count if args.nbest == "all" else args.nbest
     config = _load_config(args.config)
-    letters = {lab for lab in auto.labels if lab is not None}
-    letter_hmms = make_letter_hmms(letters, config)
+    letter_hmms = make_letter_hmms(auto.letters, config)
     lexhmm = expand(auto, increments, letter_hmms, config)
     entries = read_observations(_read(args.obs))
     for symbols, _truth in entries:

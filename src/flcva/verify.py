@@ -53,9 +53,7 @@ def run_verify(lexicon: Lexicon, config: HmmConfig, instances: int, seed: int) -
     if failure:
         return VerifyReport(False, 0, checks, failure=f"bijection: {failure}")
 
-    letter_hmms = make_letter_hmms(
-        {ch for w in lexicon.words for ch in w}, config
-    )
+    letter_hmms = make_letter_hmms(auto.letters, config)
     lexhmm = expand(auto, increments, letter_hmms, config)
     # apart from generate_sequences' Random(seed), or a word would fix its n
     rng = random.Random(f"nbest:{seed}")

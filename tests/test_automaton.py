@@ -122,6 +122,30 @@ def test_duplicates_deduplicated():
     assert lex.words == ("a", "b")
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(alphabet="abc", min_size=1, max_size=5), max_size=30), st.randoms())
+def test_from_words_sorts_and_drops_duplicates_property(words, rnd):
+    shuffled = words + words[::2]
+    rnd.shuffle(shuffled)
+    assert Lexicon.from_words(shuffled).words == tuple(sorted(set(words)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.text(alphabet="abc", min_size=1, max_size=4), max_size=12),
+    st.sampled_from(["", " a", "a b", "b\t", "\u2028", "\x0cc"]),
+    st.lists(st.integers(0, 12), min_size=1, max_size=3),
+)
+def test_from_words_bad_word_error_anywhere_property(words, bad, positions):
+    # the message does not depend on where the bad word sits or how often
+    for i in positions:
+        words.insert(i, bad)
+    message = f"word {bad!r} contains whitespace" if bad else "empty word is not allowed in a lexicon"
+    with pytest.raises(AutomatonError) as caught:
+        Lexicon.from_words(words)
+    assert str(caught.value) == message
+
+
 def test_build_is_order_independent():
     a = build_trie(Lexicon.from_words(TOY_WORDS))
     b = build_trie(Lexicon.from_words(reversed(TOY_WORDS)))

@@ -63,11 +63,19 @@ def test_build_dawg_does_not_build_the_trie(toy_paths, monkeypatch):
 
 
 def test_build_is_deterministic(toy_paths):
+    # the sorted list built twice, and the list shuffled with duplicates,
+    # blank lines, CRLF line ends and a UTF-8 BOM, write the same file
     wordlist, _config, tmp = toy_paths
-    a, b = tmp / "a.auto", tmp / "b.auto"
-    main(["build", str(wordlist), str(a), "--dawg"])
-    main(["build", str(wordlist), str(b), "--dawg"])
-    assert a.read_bytes() == b.read_bytes()
+    messy = tmp / "messy.txt"
+    lines = ["bc", "", "ab", "c", "bcd", "ab", "  ", "ba", "c", "bb", "bcd"]
+    messy.write_bytes(b"\xef\xbb\xbf" + "\r\n".join(lines).encode() + b"\r\n")
+    for mode in ("--trie", "--dawg"):
+        built = []
+        for i, words in enumerate((wordlist, wordlist, messy)):
+            out = tmp / f"{i}{mode}.auto"
+            assert main(["build", str(words), str(out), mode]) == 0
+            built.append(out.read_bytes())
+        assert built[0] == built[1] == built[2], mode
 
 
 def test_build_missing_file_exits_2(toy_paths, capsys):
