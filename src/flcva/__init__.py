@@ -39,6 +39,6 @@ from .lexhmm import (
     word_linear_hmm,
 )
 from .oracle import enumerate_paths_dfs, nbest_exhaustive, score_word
-from .pph import PphError, annotate_increments, compute_suff, decode_pph, encode_path, encode_word
+from .pph import PphError, annotate_increments, compute_suff, decode_pph, encode_word
 
 __all__ = [name for name in dir() if not name.startswith("_")]

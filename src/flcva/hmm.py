@@ -2,8 +2,9 @@
 
 Letter models are left-to-right (self-loop + forward-by-one) with discrete
 emissions over a symbol alphabet: a configurable peak mass on the letter's
-own symbol, the remainder spread uniformly over the other symbols.  All
-scores live in the natural-log domain; zero probability is the -inf sentinel.
+own symbol, the remainder spread uniformly over the other symbols.  A model
+holds each score as an integer cost, its negated natural log in grid units;
+zero probability costs math.inf.
 """
 
 from __future__ import annotations
@@ -14,37 +15,24 @@ from dataclasses import dataclass
 
 NEG_INF = float("-inf")
 
-# Log scores are snapped to a fixed binary grid, so every score is an integer
-# number of grid units.  The decoders add those integers (grid_cost), not the
-# floats: every sum is exact, and two paths with equal true scores compare
-# equal at every merge point, so the smallest-path-index tie-break fires
-# identically in all decoder variants and in the brute-force reference,
-# regardless of the order in which the terms were added.  A decoded score
-# (grid_score) is exact in double precision while its unit count stays below
-# 2**53, far beyond any realistic path length.
+# A score is held as its cost: -log p rounded to a whole number of grid
+# units.  The decoders add those integers, not floats: every sum is exact, and
+# two paths with equal true scores compare equal at every merge point, so the
+# smallest-path-index tie-break fires identically in all decoder variants and
+# in the brute-force reference, regardless of the order in which the terms
+# were added.  A decoded score (grid_score) is exact in double precision while
+# its unit count stays below 2**53, far beyond any realistic path length.
 LOG_QUANTUM = 2.0 ** -32
 
 
-def quantize_log(x: float) -> float:
-    """Round a log score to the shared binary grid; -inf passes through."""
-    if x == NEG_INF:
-        return x
-    return round(x / LOG_QUANTUM) * LOG_QUANTUM
-
-
-def grid_cost(x: float):
-    """The cost -x of a log score on the grid, as an exact int of grid units;
-    -inf maps to math.inf, which every int sum or comparison leaves dead."""
-    if x == NEG_INF:
-        return math.inf
-    units = -x / LOG_QUANTUM
-    if units != int(units):
-        raise ValueError(f"log score {x!r} is not on the 2**-32 grid")
-    return int(units)
+def grid_cost(p: float):
+    """The cost -log p in whole grid units, as an int; p = 0 costs math.inf,
+    which every int sum or comparison leaves dead."""
+    return round(-math.log(p) / LOG_QUANTUM) if p > 0.0 else math.inf
 
 
 def grid_score(cost: int) -> float:
-    """Inverse of grid_cost for a finite cost; 0.0 - x, so never -0.0."""
+    """The log score of a cost, 0.0 - x, so never -0.0; math.inf gives -inf."""
     return 0.0 - cost * LOG_QUANTUM
 
 
@@ -82,19 +70,15 @@ class HmmConfig:
 
 @dataclass(frozen=True)
 class LetterHMM:
-    """Left-to-right letter model with cached log scores."""
+    """Left-to-right letter model with its scores as grid costs."""
 
-    log_self: float
-    log_forward: float
-    log_emissions: tuple[tuple[float, ...], ...]  # one row per state
+    self_cost: int
+    forward_cost: int
+    emission_costs: tuple[tuple[int, ...], ...]  # one row per state
 
     @property
     def n_states(self) -> int:
-        return len(self.log_emissions)
-
-
-def _log(p: float) -> float:
-    return quantize_log(math.log(p)) if p > 0.0 else NEG_INF
+        return len(self.emission_costs)
 
 
 def make_letter_hmm(letter: str, config: HmmConfig) -> LetterHMM:
@@ -106,13 +90,13 @@ def make_letter_hmm(letter: str, config: HmmConfig) -> LetterHMM:
     k = len(config.alphabet)
     off = (1.0 - config.emission_peak) / (k - 1) if k > 1 else 0.0
     row = tuple(
-        _log(config.emission_peak if sym == letter else off)
+        grid_cost(config.emission_peak if sym == letter else off)
         for sym in config.alphabet
     )
     return LetterHMM(
-        log_self=_log(config.self_loop_prob),
-        log_forward=_log(1.0 - config.self_loop_prob),
-        log_emissions=tuple(row for _ in range(config.states_per_letter)),
+        self_cost=grid_cost(config.self_loop_prob),
+        forward_cost=grid_cost(1.0 - config.self_loop_prob),
+        emission_costs=tuple(row for _ in range(config.states_per_letter)),
     )
 
 

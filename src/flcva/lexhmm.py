@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .automaton import NodeAutomaton, build_trie, Lexicon
-from .hmm import HmmConfig, LetterHMM, grid_cost
+from .hmm import HmmConfig, LetterHMM
 from .pph import annotate_increments, compute_suff
 
 START = -1  # virtual start state, active only at time 0
@@ -29,9 +29,9 @@ class LexiconHMM:
     node, so every non-self transition goes from a lower to a higher index.
 
     Scores are packed into plain ints, `cost << pph_bits | pph`, where cost
-    is the grid_cost of a log score (its negation in 2^-32 grid units) and
-    pph a path index in [0, W), held in pph_bits = (W - 1).bit_length() bits.
-    Int order is then rank order (lower cost first, ties to the smaller
+    is a letter model's grid cost (a negated log score in 2^-32 grid units)
+    and pph a path index in [0, W), held in pph_bits = (W - 1).bit_length()
+    bits.  Int order is then rank order (lower cost first, ties to the smaller
     pph), and adding two packed values adds costs and pphs separately,
     since no path prefix has a pph above W - 1.  math.inf packs an
     impossible score.  preds[j] holds (source state or START, packed
@@ -64,8 +64,8 @@ def expand(
 ) -> LexiconHMM:
     """Instantiate each emitting automaton node as its letter's HMM states.
 
-    Root and sink are collapsed: root arcs become START-fed entries scoring
-    0.0, sink arcs mark final states.  Every transition score is read from
+    Root and sink are collapsed: root arcs become START-fed entries costing
+    0, sink arcs mark final states.  Every transition score is read from
     the letter models; a cross-node transition scores its source letter's
     forward step and carries the arc's path-index increment.  The
     increments must be the automaton's own annotation, which keeps every
@@ -73,7 +73,7 @@ def expand(
 
     One walk over the node ids, which are topological, lays out the states:
     every predecessor of a node comes before it, so the node's entry list is
-    complete when the walk reaches it.  Each letter model's scores are
+    complete when the walk reaches it.  Each letter model's costs are
     packed once.
     """
     if len(increments) != automaton.node_count:
@@ -81,14 +81,8 @@ def expand(
     labels, sink = automaton.labels, automaton.sink
     bits = (automaton.word_count - 1).bit_length()
 
-    packed_scores: dict = {}  # log score -> packed cost; models share few values
-
-    def pack(log_p: float):
-        w = packed_scores.get(log_p)
-        if w is None:
-            cost = grid_cost(log_p)
-            w = packed_scores[log_p] = cost if cost == math.inf else cost << bits
-        return w
+    def pack(cost):
+        return cost if cost == math.inf else cost << bits
 
     packed: dict = {}  # letter -> (self weight, forward weight, emission rows)
     entries: list = [[] for _ in labels]  # incoming cross-node transitions
@@ -106,8 +100,8 @@ def expand(
                 if hmm is None:
                     raise ExpansionError(f"no letter model for {labels[x]!r}")
                 model = packed[labels[x]] = (
-                    pack(hmm.log_self), pack(hmm.log_forward),
-                    tuple(tuple(map(pack, row)) for row in hmm.log_emissions))
+                    pack(hmm.self_cost), pack(hmm.forward_cost),
+                    tuple(tuple(map(pack, row)) for row in hmm.emission_costs))
             w_self, cross_w, rows = model
             first = len(preds)
             for k, row in enumerate(rows):

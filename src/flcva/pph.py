@@ -14,7 +14,7 @@ from .automaton import AutomatonError, NodeAutomaton
 
 
 class PphError(ValueError):
-    """Invalid path or path-index value."""
+    """A word outside the automaton, or an invalid path-index value."""
 
 
 def compute_suff(automaton: NodeAutomaton) -> tuple[int, ...]:
@@ -52,28 +52,6 @@ def annotate_increments(
             acc += suff[s]
         out.append(tuple(row))
     return tuple(out)
-
-
-def encode_path(
-    automaton: NodeAutomaton,
-    increments: Sequence[Sequence[int]],
-    path: Sequence[int],
-) -> int:
-    """Sum of increments along a root-originated node path.
-
-    For a full path (ending at the sink) this equals the path's DFS
-    completion rank.
-    """
-    if not path or path[0] != automaton.root:
-        raise PphError("path must start at the root")
-    value = 0
-    for src, dst in zip(path, path[1:]):
-        try:
-            pos = automaton.succs[src].index(dst)
-        except ValueError:
-            raise PphError(f"no arc {src} -> {dst} in automaton") from None
-        value += increments[src][pos]
-    return value
 
 
 def encode_word(

@@ -1,15 +1,10 @@
-import math
-
 import pytest
 
 from flcva.automaton import Lexicon, build_trie, minimize, serialize_automaton
 from flcva.bench import generate_sequences
 from flcva.cli import main
 from flcva.decode import DecodeResult, format_result
-from flcva.hmm import (
-    HmmConfig, format_config, format_observations, make_letter_hmms, parse_config,
-    quantize_log,
-)
+from flcva.hmm import HmmConfig, format_config, format_observations, make_letter_hmms, parse_config
 from flcva.oracle import nbest_exhaustive
 from flcva.pph import annotate_increments, compute_suff
 
@@ -100,9 +95,52 @@ def test_decode_onehot_bcd(toy_paths, capsys):
     obs.write_text("b c d\n")
     assert main(["decode", str(auto), str(config), str(obs)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    expected = f"1 bcd 3 {2 * quantize_log(math.log(0.5)):.12g}"
+    expected = f"1 bcd 3 {-1.386294361203909:.12g}"
     assert lines[0] == expected
     assert lines[1].startswith("# ops=")
+
+
+GOLDEN_DECODE = {
+    ("--variant", "inplace"): """\
+1 bcd 3 -3.92342438456
+# ops=174 merges=0 token_slots=14 emission_adds=0
+1 ab 0 -2.49672460835
+# ops=116 merges=0 token_slots=14 emission_adds=0
+# ops=29 merges=0 token_slots=14 emission_adds=0
+""",
+    ("--variant", "nbest-naive", "--nbest", "all"): """\
+1 bcd 3 -3.92342438456
+2 bc 4 -9.50984040322
+3 ba 1 -13.4016607013
+4 bb 2 -13.4016607013
+5 c 5 -15.0962564219
+6 ab 0 -17.2934809993
+# ops=97 merges=97 token_slots=31 emission_adds=97
+1 ab 0 -2.49672460835
+2 bb 2 -6.3885449064
+3 ba 1 -10.2803652044
+4 bc 4 -10.2803652044
+5 c 5 -11.9749609251
+# ops=43 merges=43 token_slots=24 emission_adds=43
+# ops=3 merges=3 token_slots=3 emission_adds=3
+""",
+}
+
+
+@pytest.mark.parametrize("options", GOLDEN_DECODE, ids=["inplace", "nbest-naive-all"])
+def test_decode_output_is_golden(toy_paths, capsys, options):
+    # self-loops and off-peak emissions give every row its own score bits;
+    # the last sequence is too short for any word
+    wordlist, _config, tmp = toy_paths
+    config = tmp / "golden.cfg"
+    config.write_text(format_config(HmmConfig(
+        alphabet=tuple("abcd"), states_per_letter=2, self_loop_prob=0.3, emission_peak=0.7)))
+    auto, obs = tmp / "dawg.auto", tmp / "obs.txt"
+    main(["build", str(wordlist), str(auto), "--dawg"])
+    obs.write_text("b b c c d d\na a b b\nc\n")
+    capsys.readouterr()
+    assert main(["decode", str(auto), str(config), str(obs), *options]) == 0
+    assert capsys.readouterr().out == GOLDEN_DECODE[options]
 
 
 def test_decode_variants_identical_rankings(toy_paths, capsys):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flcva import (
-    NEG_INF,
     HmmConfig,
     HmmConfigError,
     make_letter_hmm,
@@ -19,7 +18,6 @@ from flcva.hmm import (
     grid_cost,
     grid_score,
     parse_config,
-    quantize_log,
     read_observations,
 )
 
@@ -30,49 +28,44 @@ def test_single_state_transitions():
     cfg = HmmConfig(alphabet=AB, states_per_letter=1, self_loop_prob=0.5)
     hmm = make_letter_hmm("a", cfg)
     assert hmm.n_states == 1
-    assert hmm.log_self == quantize_log(math.log(0.5))
-    assert hmm.log_forward == hmm.log_self
-    assert abs(hmm.log_self - math.log(0.5)) <= LOG_QUANTUM / 2
-    assert math.exp(hmm.log_self) + math.exp(hmm.log_forward) == pytest.approx(1.0)
+    log_self, log_forward = grid_score(hmm.self_cost), grid_score(hmm.forward_cost)
+    assert log_self == -0.6931471806019545
+    assert log_forward == log_self
+    assert abs(log_self - math.log(0.5)) <= LOG_QUANTUM / 2
+    assert math.exp(log_self) + math.exp(log_forward) == pytest.approx(1.0)
 
 
 def test_one_hot_emissions():
     cfg = HmmConfig(alphabet=AB, states_per_letter=1, emission_peak=1.0)
     hmm = make_letter_hmm("a", cfg)
-    assert hmm.log_emissions[0][cfg.alphabet.index("a")] == 0.0
-    assert hmm.log_emissions[0][cfg.alphabet.index("b")] == NEG_INF
+    assert grid_score(hmm.emission_costs[0][cfg.alphabet.index("a")]) == 0.0
+    assert hmm.emission_costs[0][cfg.alphabet.index("b")] == math.inf
 
 
 def test_off_letter_emission_value():
     cfg = HmmConfig(alphabet=tuple("abcd"), states_per_letter=1, emission_peak=0.8)
     hmm = make_letter_hmm("a", cfg)
-    assert hmm.log_emissions[0][cfg.alphabet.index("b")] == quantize_log(math.log((1 - 0.8) / 3))
+    assert grid_score(hmm.emission_costs[0][cfg.alphabet.index("b")]) == -2.7080502011813223
 
 
 @pytest.mark.parametrize("peak", [0.25, 0.5, 0.9, 1.0])
 def test_emission_rows_normalized(peak):
     cfg = HmmConfig(alphabet=tuple("abcd"), states_per_letter=2, emission_peak=peak)
     hmm = make_letter_hmm("c", cfg)
-    for row in hmm.log_emissions:
-        total = sum(math.exp(v) for v in row if v != NEG_INF)
+    for row in hmm.emission_costs:
+        total = sum(math.exp(grid_score(c)) for c in row if c != math.inf)
         # normalization holds up to the log-grid rounding of each entry
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
-@given(st.integers(-2**52, 0))
-def test_grid_cost_is_the_exact_negated_unit_count(units):
-    x = units * LOG_QUANTUM
-    assert grid_cost(x) == -units
-    assert type(grid_cost(x)) is int
-    assert grid_score(grid_cost(x)) == x
+@given(st.floats(0.0, 1.0, exclude_min=True))
+def test_grid_cost_is_the_nearest_unit_count_of_minus_log_p(p):
+    cost = grid_cost(p)
+    assert type(cost) is int
+    assert abs(grid_score(cost) - math.log(p)) <= LOG_QUANTUM / 2
+    assert grid_cost(1.0) == 0
+    assert grid_cost(0.0) is math.inf
     assert math.copysign(1.0, grid_score(0)) == 1.0  # 0.0, never -0.0
-
-
-def test_grid_cost_of_impossible_and_off_grid_scores():
-    assert grid_cost(NEG_INF) == math.inf
-    assert grid_cost(quantize_log(math.log(0.3))) * -LOG_QUANTUM == quantize_log(math.log(0.3))
-    with pytest.raises(ValueError):
-        grid_cost(quantize_log(math.log(0.3)) + LOG_QUANTUM / 4)
 
 
 def test_letter_outside_alphabet_rejected():

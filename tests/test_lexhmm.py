@@ -11,6 +11,7 @@ from flcva import (
     minimize,
     word_linear_hmm,
 )
+from flcva.hmm import grid_score
 from flcva.pph import annotate_increments, compute_suff
 
 from conftest import onehot_config, unpack, unpacked_preds
@@ -144,7 +145,7 @@ def test_transition_scores_come_from_the_letter_models(toy_annotated):
     dawg, _suff, inc = toy_annotated
     hmms = make_letter_hmms("abcd", onehot_config(states=2, self_loop=0.3))
     lexhmm = expand(dawg, inc, hmms, onehot_config(states=2, self_loop=0.5))
-    log_self, log_forward = hmms["a"].log_self, hmms["a"].log_forward
+    log_self, log_forward = grid_score(hmms["a"].self_cost), grid_score(hmms["a"].forward_cost)
     assert log_self != log_forward
     for j, preds in enumerate(unpacked_preds(lexhmm)):
         for src, log_a, _dp in preds:
@@ -154,4 +155,4 @@ def test_transition_scores_come_from_the_letter_models(toy_annotated):
                 assert log_a == (log_self if src == j else log_forward)
     for j, row in enumerate(lexhmm.emit_rows):
         letter = dawg.labels[lexhmm.state_node[j]]
-        assert [unpack(lexhmm, e) for e in row] == [(x, 0) for x in hmms[letter].log_emissions[0]]
+        assert [unpack(lexhmm, e) for e in row] == [(grid_score(c), 0) for c in hmms[letter].emission_costs[0]]

@@ -6,7 +6,6 @@ from flcva import (
     build_trie,
     compute_suff,
     decode_pph,
-    encode_path,
     encode_word,
     enumerate_paths_dfs,
     minimize,
@@ -52,20 +51,8 @@ def test_table3_word_values(toy_annotated):
         assert encode_word(dawg, inc, word) == expected
 
 
-def test_encode_partial_paths(toy_annotated):
-    dawg, _suff, inc = toy_annotated
-    assert encode_path(dawg, inc, [dawg.root]) == 0
-    b = _node_with_label(dawg, dawg.root, "b")
-    # partial path root->b has the index of 'ba', its smallest full extension
-    assert encode_path(dawg, inc, [dawg.root, b]) == 1
-
-
 def test_encode_rejects_bad_paths(toy_annotated):
     dawg, _suff, inc = toy_annotated
-    with pytest.raises(PphError):
-        encode_path(dawg, inc, [dawg.sink])
-    with pytest.raises(PphError):
-        encode_path(dawg, inc, [dawg.root, dawg.root])
     with pytest.raises(PphError):
         encode_word(dawg, inc, "zz")
     with pytest.raises(PphError):
