@@ -58,14 +58,25 @@ def test_emission_rows_normalized(peak):
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
+@given(st.integers(0, 700 * 2**32))
+def test_grid_cost_is_the_exact_negated_unit_count(units):
+    # a probability on the grid, exp(-units * LOG_QUANTUM), costs exactly units
+    cost = grid_cost(math.exp(-units * LOG_QUANTUM))
+    assert cost == units
+    assert type(cost) is int
+    assert grid_score(cost) == -units * LOG_QUANTUM
+    assert grid_cost(1.0) == 0
+    assert math.copysign(1.0, grid_score(0)) == 1.0  # 0.0, never -0.0
+
+
 @given(st.floats(0.0, 1.0, exclude_min=True))
-def test_grid_cost_is_the_nearest_unit_count_of_minus_log_p(p):
+def test_grid_cost_of_impossible_and_off_grid_scores(p):
+    assert grid_cost(0.0) is math.inf
+    assert grid_score(grid_cost(0.0)) == -math.inf
+    # an off-grid probability costs the nearest whole unit count of -log p
     cost = grid_cost(p)
     assert type(cost) is int
     assert abs(grid_score(cost) - math.log(p)) <= LOG_QUANTUM / 2
-    assert grid_cost(1.0) == 0
-    assert grid_cost(0.0) is math.inf
-    assert math.copysign(1.0, grid_score(0)) == 1.0  # 0.0, never -0.0
 
 
 def test_letter_outside_alphabet_rejected():
