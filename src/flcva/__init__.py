@@ -31,13 +31,7 @@ from .hmm import (
     make_letter_hmms,
     sample_observations,
 )
-from .lexhmm import (
-    START,
-    ExpansionError,
-    LexiconHMM,
-    expand,
-    word_linear_hmm,
-)
+from .lexhmm import START, ExpansionError, LexiconHMM, expand
 from .oracle import enumerate_paths_dfs, nbest_exhaustive, score_word
 from .pph import PphError, annotate_increments, compute_suff, decode_pph, encode_word
 

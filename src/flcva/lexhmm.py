@@ -9,9 +9,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automaton import NodeAutomaton, build_trie, Lexicon
+from .automaton import NodeAutomaton
 from .hmm import HmmConfig, LetterHMM
-from .pph import annotate_increments, compute_suff
+from .pph import compute_suff
 
 START = -1  # virtual start state, active only at time 0
 
@@ -133,16 +133,3 @@ def expand(
         pph_bits=bits,
         n_arcs=sum(map(len, preds)),
     )
-
-
-def word_linear_hmm(
-    word: str,
-    letter_hmms: dict[str, LetterHMM],
-    config: HmmConfig,
-) -> LexiconHMM:
-    """Lexicon HMM of the single-word lexicon {word}; all increments are 0."""
-    if not word:
-        raise ExpansionError("word must be non-empty")
-    auto = build_trie(Lexicon.from_words([word]))
-    increments = annotate_increments(auto, compute_suff(auto))
-    return expand(auto, increments, letter_hmms, config)

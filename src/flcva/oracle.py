@@ -1,19 +1,19 @@
-"""Brute-force references: per-word linear-HMM scoring, exhaustive n-best,
+"""Brute-force references: per-word chain Viterbi scoring, exhaustive n-best,
 and DFS path enumeration as the ground truth for path indexing.
 
 Kept deliberately independent of the fast paths: path ranks come from an
 explicit DFS (or a direct word sort), not from the cached increments, and
-word scores come from single-word chains, not the shared lexicon HMM.
+word scores come from each word's own letter chain, scored directly from
+the letter models, not from the expanded lexicon HMM or its decoders.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
 from .automaton import Lexicon, NodeAutomaton
-from .hmm import NEG_INF, HmmConfig, LetterHMM
-from .lexhmm import word_linear_hmm
-from .decode import viterbi_tabular
+from .hmm import NEG_INF, HmmConfig, LetterHMM, grid_score
 
 
 def enumerate_paths_dfs(automaton: NodeAutomaton) -> list[str]:
@@ -52,13 +52,30 @@ def score_word(
     config: HmmConfig,
     obs,
 ) -> float:
-    """Best log score of the word's own linear HMM for obs; -inf if the word
-    cannot account for the sequence."""
-    lexhmm = word_linear_hmm(word, letter_hmms, config)
-    result = viterbi_tabular(lexhmm, obs)
-    if not result.ranking:
-        return NEG_INF
-    return result.ranking[0][2]
+    """Best log score of the word's own letter chain for obs; -inf if the
+    word cannot account for the sequence.
+
+    A direct Viterbi over the chain's states in grid costs.  The first state
+    is entered free at the first frame only.  At each frame every state
+    keeps the cheaper of staying (its letter's self cost) and arriving from
+    the state before it (that state's forward cost), then pays its emission.
+    The score is the last state's cost: there is no exit cost.
+    """
+    index = {s: i for i, s in enumerate(config.alphabet)}
+    chain = [(hmm.self_cost, hmm.forward_cost, row)
+             for hmm in (letter_hmms[ch] for ch in word)
+             for row in hmm.emission_costs]
+    costs = [math.inf] * len(chain)
+    for t, symbol in enumerate(obs):
+        si = index[symbol]
+        arrive = 0 if t == 0 else math.inf  # the first state's entry
+        # state i cannot be reached before frame i: the rest stay math.inf
+        for i, (self_cost, forward_cost, row) in enumerate(chain[:t + 1]):
+            old = costs[i]
+            stay = old + self_cost
+            costs[i] = (stay if stay < arrive else arrive) + row[si]  # not min(): 1.5x slower
+            arrive = old + forward_cost
+    return grid_score(costs[-1])
 
 
 def nbest_exhaustive(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .automaton import Lexicon, build_dawg
 from .bench import generate_sequences
-from .decode import nbest_improved, nbest_naive, viterbi_flipflop, viterbi_inplace, viterbi_tabular
+from .decode import VARIANTS, nbest_improved, nbest_naive
 from .hmm import HmmConfig, make_letter_hmms
 from .lexhmm import expand
 from .oracle import enumerate_paths_dfs, nbest_exhaustive
@@ -47,9 +47,8 @@ def run_verify(lexicon: Lexicon, config: HmmConfig, instances: int, seed: int) -
     suff = compute_suff(auto)
     increments = annotate_increments(auto, suff)
 
-    checks = 0
+    checks = 1
     failure = _check_bijection(auto, suff, increments)
-    checks += 1
     if failure:
         return VerifyReport(False, 0, checks, failure=f"bijection: {failure}")
 
@@ -59,51 +58,34 @@ def run_verify(lexicon: Lexicon, config: HmmConfig, instances: int, seed: int) -
     rng = random.Random(f"nbest:{seed}")
     for inst, (obs, word) in enumerate(generate_sequences(lexicon, config, instances, seed)):
         replay = f"instance {inst}: word={word!r} obs={' '.join(obs)}"
-
-        tab = viterbi_tabular(lexhmm, obs)
-        flip = viterbi_flipflop(lexhmm, obs)
-        inpl = viterbi_inplace(lexhmm, obs)
-        checks += 1
-        if not (tab.ranking == flip.ranking == inpl.ranking):
-            return VerifyReport(
-                False, inst, checks,
-                failure=f"1-best mismatch: tabular={tab.ranking} flipflop={flip.ranking} "
-                        f"inplace={inpl.ranking} ({replay})",
-            )
-        if tab.ranking:
-            word_out, pph_out, _ = tab.ranking[0]
-            checks += 1
-            if decode_pph(auto, suff, pph_out) != word_out:
-                return VerifyReport(
-                    False, inst, checks,
-                    failure=f"token path index {pph_out} does not decode to "
-                            f"{word_out!r} ({replay})",
-                )
-
+        rankings = {name: fn(lexhmm, obs).ranking for name, fn in VARIANTS.items()}
+        best = rankings["tabular"]
+        listed = " ".join(f"{name}={ranking}" for name, ranking in rankings.items())
+        # (passed, failure message), checked in this order
+        results = [(all(r == best for r in rankings.values()),
+                    f"1-best mismatch: {listed} ({replay})")]
+        if best:
+            word_out, pph_out, _ = best[0]
+            results.append((decode_pph(auto, suff, pph_out) == word_out,
+                            f"token path index {pph_out} does not decode to "
+                            f"{word_out!r} ({replay})"))
         n = rng.randint(1, 5)
         naive = nbest_naive(lexhmm, obs, n)
         improved = nbest_improved(lexhmm, obs, n)
         exact = nbest_exhaustive(lexicon, letter_hmms, config, obs, n)
-        checks += 1
-        if not (naive.ranking == improved.ranking == exact):
-            return VerifyReport(
-                False, inst, checks,
-                failure=f"{n}-best mismatch: naive={naive.ranking} "
-                        f"improved={improved.ranking} oracle={exact} ({replay})",
-            )
-        checks += 1
-        if improved.merges > naive.merges:
-            return VerifyReport(
-                False, inst, checks,
-                failure=f"improved merges {improved.merges} > naive {naive.merges} "
-                        f"({replay})",
-            )
-        checks += 1
-        if improved.ops > naive.ops:
-            return VerifyReport(
-                False, inst, checks,
-                failure=f"improved ops {improved.ops} > naive {naive.ops} ({replay})",
-            )
+        results += [
+            (naive.ranking == improved.ranking == exact,
+             f"{n}-best mismatch: naive={naive.ranking} "
+             f"improved={improved.ranking} oracle={exact} ({replay})"),
+            (improved.merges <= naive.merges,
+             f"improved merges {improved.merges} > naive {naive.merges} ({replay})"),
+            (improved.ops <= naive.ops,
+             f"improved ops {improved.ops} > naive {naive.ops} ({replay})"),
+        ]
+        for passed, failure in results:
+            checks += 1
+            if not passed:
+                return VerifyReport(False, inst, checks, failure=failure)
 
     warning = "no randomized instances were run" if instances == 0 else None
     return VerifyReport(True, instances, checks, warning=warning)

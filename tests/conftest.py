@@ -63,6 +63,12 @@ def unpacked_preds(lexhmm):
     return [[(i, *unpack(lexhmm, w)) for i, w in preds] for preds in lexhmm.preds]
 
 
+def one_word_lexhmm(word, letter_hmms, config):
+    """The expanded lexicon HMM of the one-word trie {word}."""
+    auto = build_trie(Lexicon.from_words([word]))
+    return expand(auto, annotate_increments(auto, compute_suff(auto)), letter_hmms, config)
+
+
 def onehot_config(states=1, self_loop=0.5, alphabet="abcd"):
     return HmmConfig(
         alphabet=tuple(alphabet),

@@ -5,16 +5,13 @@ from flcva import (
     ExpansionError,
     Lexicon,
     build_dawg,
-    build_trie,
     expand,
     make_letter_hmms,
-    minimize,
-    word_linear_hmm,
 )
 from flcva.hmm import grid_score
 from flcva.pph import annotate_increments, compute_suff
 
-from conftest import onehot_config, unpack, unpacked_preds
+from conftest import one_word_lexhmm, onehot_config, unpack, unpacked_preds
 
 
 def test_toy_expansion_counts(toy_lexhmm_onehot):
@@ -29,7 +26,7 @@ def test_toy_expansion_counts(toy_lexhmm_onehot):
 def test_single_word_chain():
     cfg = onehot_config(states=3)
     hmms = make_letter_hmms("a", cfg)
-    lexhmm = word_linear_hmm("a", hmms, cfg)
+    lexhmm = one_word_lexhmm("a", hmms, cfg)
     assert lexhmm.n_states == 3
     assert lexhmm.finals == ((2, 0),)  # exit state of the chain, increment 0
 
@@ -89,19 +86,6 @@ def test_decode_order_is_topological(toy_annotated):
                 assert src < j
 
 
-def test_word_linear_matches_single_word_expand():
-    cfg = onehot_config()
-    hmms = make_letter_hmms("abcd", cfg)
-    linear = word_linear_hmm("c", hmms, cfg)
-    auto = build_trie(Lexicon.from_words(["c"]))
-    inc = annotate_increments(auto, compute_suff(auto))
-    expanded = expand(auto, inc, hmms, cfg)
-    assert linear.n_states == expanded.n_states
-    assert linear.preds == expanded.preds
-    assert linear.finals == expanded.finals
-    assert all(dp == 0 for preds in unpacked_preds(linear) for _s, _a, dp in preds)
-
-
 def test_decode_stats(toy_lexhmm_onehot):
     lexhmm, _cfg, _hmms = toy_lexhmm_onehot
     assert lexhmm.n_states == 7
@@ -113,7 +97,7 @@ def test_decode_stats(toy_lexhmm_onehot):
 def test_chain_mean_preds():
     cfg = onehot_config(states=10, alphabet="ab")
     hmms = make_letter_hmms("a", cfg)
-    lexhmm = word_linear_hmm("a", hmms, cfg)
+    lexhmm = one_word_lexhmm("a", hmms, cfg)
     # k-state chain: self-loops everywhere, forward into all but the first,
     # one START arc: (2k - 1 + 1)/k = 2.
     assert sum(len(p) for p in lexhmm.preds) / lexhmm.n_states == pytest.approx(2.0)
@@ -132,13 +116,6 @@ def test_unannotated_automaton_rejected(toy_dawg):
     hmms = make_letter_hmms("abcd", cfg)
     with pytest.raises(ExpansionError):
         expand(toy_dawg, (), hmms, cfg)
-
-
-def test_empty_word_rejected():
-    cfg = onehot_config()
-    hmms = make_letter_hmms("abcd", cfg)
-    with pytest.raises(ExpansionError):
-        word_linear_hmm("", hmms, cfg)
 
 
 def test_transition_scores_come_from_the_letter_models(toy_annotated):

@@ -1,5 +1,9 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from flcva import (
     NEG_INF,
+    HmmConfig,
     Lexicon,
     build_trie,
     enumerate_paths_dfs,
@@ -7,12 +11,13 @@ from flcva import (
     minimize,
     nbest_exhaustive,
     score_word,
+    viterbi_tabular,
 )
 from flcva.oracle import canonical_word_order, word_rank_map
 from flcva.pph import annotate_increments, compute_suff, encode_word
 from flcva.synth import random_lexicon
 
-from conftest import onehot_config, uniform_config
+from conftest import one_word_lexhmm, onehot_config, uniform_config
 
 
 def test_toy_dfs_order(toy_dawg):
@@ -55,6 +60,24 @@ def test_score_word_representation_independent():
     hmms = make_letter_hmms("abcd", cfg)
     obs = ["a", "b", "c"]
     assert score_word("abc", hmms, cfg, obs) == score_word("abc", hmms, cfg, obs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(alphabet="abcd", min_size=1, max_size=6),
+    st.integers(1, 3),
+    st.sampled_from([0.0, 0.3, 0.5]),
+    st.sampled_from([1.0, 0.25, 0.7]),
+    st.data(),
+)
+def test_score_word_matches_the_decoded_one_word_trie(word, states, self_loop, peak, data):
+    cfg = HmmConfig(alphabet=tuple("abcd"), states_per_letter=states,
+                    self_loop_prob=self_loop, emission_peak=peak)
+    hmms = make_letter_hmms(word, cfg)
+    frames = data.draw(st.integers(0, 2 * states * len(word)))
+    obs = data.draw(st.lists(st.sampled_from("abcd"), min_size=frames, max_size=frames))
+    ranking = viterbi_tabular(one_word_lexhmm(word, hmms, cfg), obs).ranking
+    assert score_word(word, hmms, cfg, obs) == (ranking[0][2] if ranking else NEG_INF)
 
 
 def test_exhaustive_nbest_onehot(toy_lexicon):
