@@ -21,7 +21,6 @@ from .decode import NBEST_VARIANTS, VARIANTS, DecodeError, format_result
 from .hmm import HmmConfigError, format_observations, make_letter_hmms, parse_config, read_observations
 from .lexhmm import ExpansionError, expand
 from .pph import annotate_increments, compute_suff
-from .synth import synthetic_lexicon
 from .verify import run_verify
 
 
@@ -136,25 +135,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     _at_least(0, args, "sequences")
-    _at_least(1, args, "prefix_len", "suffix_len")
-    if args.synthetic_prefixes or args.synthetic_suffixes:
-        if args.wordlist is not None:
-            raise InputError("bench takes a word list or --synthetic-* pool sizes, not both")
-        _at_least(1, args, "synthetic_prefixes", "synthetic_suffixes")
-        try:
-            lexicon = synthetic_lexicon(
-                args.synthetic_prefixes,
-                args.synthetic_suffixes,
-                prefix_len=args.prefix_len,
-                suffix_len=args.suffix_len,
-                seed=args.seed,
-            )
-        except ValueError as exc:  # a pool larger than its words allow
-            raise InputError(str(exc)) from exc
-    else:
-        if args.wordlist is None:
-            raise InputError("bench needs a word list or --synthetic-* pool sizes")
-        lexicon = _load_lexicon(args.wordlist)
+    lexicon = _load_lexicon(args.wordlist)
     config = _load_config(args.config)
     rows = run_bench(lexicon, config, args.sequences, args.seed)
     print(CSV_HEADER)
@@ -202,14 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("bench", help="trie vs DAWG benchmark (CSV)")
-    p.add_argument("wordlist", nargs="?")
+    p.add_argument("wordlist")
     p.add_argument("config")
     p.add_argument("--sequences", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--synthetic-prefixes", type=int, default=0)
-    p.add_argument("--synthetic-suffixes", type=int, default=0)
-    p.add_argument("--prefix-len", type=int, default=4)
-    p.add_argument("--suffix-len", type=int, default=4)
     p.set_defaults(fn=cmd_bench)
 
     return parser

@@ -1,7 +1,7 @@
 """Randomized equivalence suite: path-index bijection, 1-best decoder
 agreement, and n-best agreement against the exhaustive oracle.
 
-Used by the `verify` CLI subcommand and by the acceptance tests.
+Used by the `verify` CLI subcommand.
 """
 
 from __future__ import annotations

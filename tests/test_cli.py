@@ -1,3 +1,9 @@
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from flcva.automaton import Lexicon, build_trie, minimize, serialize_automaton
@@ -7,8 +13,11 @@ from flcva.decode import DecodeResult, format_result
 from flcva.hmm import HmmConfig, format_config, format_observations, make_letter_hmms, parse_config
 from flcva.oracle import nbest_exhaustive
 from flcva.pph import annotate_increments, compute_suff
+from flcva.synth import synthetic_lexicon
 
 from conftest import ISOLATED_NODE_FILE, TOY_WORDS, uniform_config
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -279,7 +288,9 @@ def test_bench_csv(toy_paths, capsys):
 
 
 def test_bench_synthetic_lexicon(tmp_path, capsys):
-    # the synthetic generator draws from letters a-j
+    # the synthetic lexicon is benchmarked as a word list; its letters are a-j
+    wordlist = tmp_path / "synth.txt"
+    wordlist.write_text("\n".join(synthetic_lexicon(5, 4, prefix_len=2, suffix_len=2).words))
     config = tmp_path / "synth.cfg"
     config.write_text(
         format_config(
@@ -287,9 +298,7 @@ def test_bench_synthetic_lexicon(tmp_path, capsys):
                       self_loop_prob=0.3, emission_peak=0.9)
         )
     )
-    assert main(["bench", str(config), "--sequences", "2", "--seed", "0",
-                 "--synthetic-prefixes", "5", "--synthetic-suffixes", "4",
-                 "--prefix-len", "2", "--suffix-len", "2"]) == 0
+    assert main(["bench", str(wordlist), str(config), "--sequences", "2", "--seed", "0"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 5
     trie_ops = int(lines[1].split(",")[7])
@@ -297,10 +306,39 @@ def test_bench_synthetic_lexicon(tmp_path, capsys):
     assert dawg_ops < trie_ops
 
 
-def test_bench_without_wordlist_or_synthetic_exits_2(toy_paths, capsys):
+def test_bench_without_wordlist_exits_2(toy_paths, capsys):
     _wordlist, config, _tmp = toy_paths
-    assert main(["bench", str(config), "--sequences", "1"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", str(config), "--sequences", "1"])
+    assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _summed_ops(decode_output: str) -> int:
+    return sum(int(line.split("ops=")[1].split()[0])
+               for line in decode_output.splitlines() if line.startswith("# ops="))
+
+
+def test_bench_is_the_file_pipeline(toy_paths, capsys):
+    # each row's ops are those of build, gen and decode run on the same files
+    wordlist, config, tmp = toy_paths
+    assert main(["bench", str(wordlist), str(config), "--sequences", "4", "--seed", "5"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    bench_ops = {(r[0], r[1]): int(r[7]) for r in rows}
+    obs = tmp / "gen.obs"
+    assert main(["gen", str(wordlist), str(config), str(obs), "--count", "4", "--seed", "5"]) == 0
+    pipeline_ops = {}
+    for structure in ("trie", "dawg"):
+        auto = tmp / f"{structure}.auto"
+        assert main(["build", str(wordlist), str(auto), f"--{structure}"]) == 0
+        for variant in ("flipflop", "inplace"):
+            capsys.readouterr()
+            assert main(["decode", str(auto), str(config), str(obs), "--variant", variant]) == 0
+            pipeline_ops[(structure, variant)] = _summed_ops(capsys.readouterr().out)
+    assert bench_ops == pipeline_ops
+    # 17 frames: 16 predecessor visits a frame in the trie, 15 in the DAWG
+    assert pipeline_ops == {("trie", "flipflop"): 272, ("trie", "inplace"): 272,
+                            ("dawg", "flipflop"): 255, ("dawg", "inplace"): 255}
 
 
 def test_gen_writes_generate_sequences(toy_paths):
@@ -312,6 +350,38 @@ def test_gen_writes_generate_sequences(toy_paths):
         Lexicon.from_words(TOY_WORDS), parse_config(config.read_text()), 7, 3
     )
     assert out.read_text() == format_observations(sequences)
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    (tmp_path / "words.txt").write_text("\n".join(TOY_WORDS) + "\n")
+    (tmp_path / "hmm.cfg").write_text(
+        format_config(
+            HmmConfig(alphabet=tuple("abcdefghij"), states_per_letter=1,
+                      self_loop_prob=0.3, emission_peak=0.9)
+        )
+    )
+    readme = (ROOT / "README.md").read_text()
+    lines = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    monkeypatch.chdir(tmp_path)
+    assert any(line.startswith("flcva bench ") for line in lines)
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        out = None
+        if ">" in argv:
+            argv, out = argv[:argv.index(">")], argv[argv.index(">") + 1]
+        if argv[0] == "flcva":
+            capsys.readouterr()
+            assert main(argv[1:]) == 0, line
+            stdout = capsys.readouterr().out
+        else:
+            assert argv[0] == "python3", line
+            stdout = subprocess.run(
+                [sys.executable, *argv[1:]], check=True, capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            ).stdout
+        if out is not None:
+            (tmp_path / out).write_text(stdout)
+    assert len((tmp_path / "synth.txt").read_text().split()) == 120 * 90
 
 
 def _decode_edited(toy_paths, target, old, new):
@@ -386,18 +456,6 @@ def test_bad_input_exits_2_with_one_error_line(toy_paths, capsys, target, old, n
     ["gen", "{wordlist}", "{config}", "{out}", "--count", "-3"],
     ["verify", "{wordlist}", "{config}", "--instances", "-3"],
     ["bench", "{wordlist}", "{config}", "--sequences", "-2"],
-    ["bench", "{config}", "--synthetic-prefixes", "5", "--synthetic-suffixes", "5",
-     "--prefix-len", "0"],
-    ["bench", "{config}", "--synthetic-prefixes", "5", "--synthetic-suffixes", "5",
-     "--suffix-len", "-1"],
-    ["bench", "{config}", "--synthetic-prefixes", "-5", "--synthetic-suffixes", "5"],
-    ["bench", "{config}", "--synthetic-prefixes", "5"],
-    # the word list was ignored and the synthetic lexicon benchmarked
-    ["bench", "{wordlist}", "{synth_config}", "--synthetic-prefixes", "3",
-     "--synthetic-suffixes", "3", "--prefix-len", "2", "--suffix-len", "2"],
-    # 200 distinct 2-letter prefixes do not exist over 10 letters
-    ["bench", "{config}", "--synthetic-prefixes", "200", "--synthetic-suffixes", "5",
-     "--prefix-len", "2"],
     ["decode", "{auto}", "{config}", "{obs}", "--variant", "flipflop", "--nbest", "all"],
 ])
 def test_option_that_cannot_work_exits_2(toy_paths, capsys, argv):
@@ -405,11 +463,8 @@ def test_option_that_cannot_work_exits_2(toy_paths, capsys, argv):
     auto, obs, out = tmp / "dawg.auto", tmp / "obs.txt", tmp / "gen.obs"
     assert main(["build", str(wordlist), str(auto), "--dawg"]) == 0
     obs.write_text("b c d\n")
-    synth_config = tmp / "synth.cfg"  # the synthetic generator draws from letters a-j
-    synth_config.write_text(config.read_text().replace("alphabet=abcd", "alphabet=abcdefghij"))
     capsys.readouterr()
-    paths = dict(auto=auto, config=config, obs=obs, wordlist=wordlist, out=out,
-                 synth_config=synth_config)
+    paths = dict(auto=auto, config=config, obs=obs, wordlist=wordlist, out=out)
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert _assert_one_error_line(capsys) == ""  # nothing decoded
     assert not out.exists()
