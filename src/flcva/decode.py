@@ -1,15 +1,21 @@
 """Token-passing Viterbi decoders over a lexicon HMM.
 
 Variants: tabular (full lattice + backtracking, the reference), flip-flop
-(two token arrays), in-place (single array, reverse topological scan), and
-n-best with naive and improved merging.  A token is one int,
-`cost << pph_bits | pph`: cost is the path's negated log score in 2^-32
-grid units and pph its path-history index (see LexiconHMM).  Int order is
-rank order, ties on score broken toward the smaller path index, so every
-variant picks its winners with plain int compares and sorts, and all
-variants and the oracle are bit-comparable.  Adding a packed transition or
-emission to a token adds costs and pphs separately; math.inf is the dead
-token, and stays dead under every addition.
+(two token arrays), in-place (one token array), and n-best with naive and
+improved merging.  Every 1-best variant runs the same frame step, which
+scans the states in reverse topological order; in-place differs only in
+reading and writing one array.  Each frame reads one emission column,
+LexiconHMM.emissions[symbol], and a sequence's columns are looked up
+before its first frame runs.
+
+A token is one int, `cost << pph_bits | pph`: cost is the path's negated
+log score in 2^-32 grid units and pph its path-history index (see
+LexiconHMM).  Int order is rank order, ties on score broken toward the
+smaller path index, so every variant picks its winners with plain int
+compares and sorts, and all variants and the oracle are bit-comparable.
+Adding a packed transition or emission to a token adds costs and pphs
+separately; math.inf is the dead token, and stays dead under every
+addition.
 """
 
 from __future__ import annotations
@@ -54,50 +60,44 @@ def format_result(result: DecodeResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _symbol_index(lexhmm: LexiconHMM, symbol: str) -> int:
+def _columns(lexhmm: LexiconHMM, obs) -> list:
+    """Each frame's emission column, looked up before any frame runs."""
     try:
-        return lexhmm.symbol_index[symbol]
-    except KeyError:
-        raise DecodeError(f"observation symbol {symbol!r} not in alphabet") from None
+        return [lexhmm.emissions[symbol] for symbol in obs]
+    except KeyError as exc:
+        raise DecodeError(f"observation symbol {exc.args[0]!r} not in alphabet") from None
 
 
-def _tokens(n_states: int, start: bool = False) -> list:
-    """Tokens for n_states states plus a trailing START slot, all dead.
+def _tokens(n_states: int) -> list:
+    """Dead tokens for n_states states plus a trailing START slot holding 0
+    (score 0.0, pph 0).
 
     START is -1, so preds entries naming START read the trailing slot and
-    the relaxation needs no special case for it.  The START token is 0
-    (score 0.0, pph 0) before the first frame and dead afterwards.
+    the relaxation needs no special case for it.  _step kills the START
+    token of every array it writes, so START feeds the first frame only.
     """
-    tokens = [INF] * (n_states + 1)
-    if start:
-        tokens[START] = 0
-    return tokens
+    return [INF] * n_states + [0]
 
 
-def _step(lexhmm: LexiconHMM, symbol: str, src, dst, reverse: bool = False) -> int:
-    """One frame of min-plus relaxation; returns the predecessor visits.
+def _step(lexhmm: LexiconHMM, col, src, dst) -> int:
+    """One frame of min-plus relaxation, emissions read from the frame's
+    column col; returns the predecessor visits.
 
     For each state j, the least source token plus transition over preds[j]
-    (the best score, ties to the smaller pph) gets j's emission and is
-    written to dst; a strict compare keeps the first such predecessor.
-    States are visited in topological order, or in reverse when src and dst
-    are the same array: then every state is visited after all of its
-    successors, so no token is overwritten before it has been read.
+    (the best score, ties to the smaller pph) gets col[j] and is written to
+    dst; a strict compare keeps the first such predecessor.  States are
+    visited in reverse topological order, each after all of its successors,
+    so src may be dst: no token is overwritten before it has been read.
     """
-    si = _symbol_index(lexhmm, symbol)
-    n_states, preds, emit_rows = lexhmm.n_states, lexhmm.preds, lexhmm.emit_rows
-    if reverse:
-        states = zip(range(n_states - 1, -1, -1), reversed(preds), reversed(emit_rows))
-    else:
-        states = zip(range(n_states), preds, emit_rows)
-    for j, preds_j, row in states:
+    preds = lexhmm.preds
+    for j, preds_j, e in zip(range(len(preds) - 1, -1, -1), reversed(preds), reversed(col)):
         best = INF
         for i, w in preds_j:
             c = src[i] + w
             if c < best:
                 best = c
-        dst[j] = best + row[si]
-    src[START] = INF  # START feeds the first frame only
+        dst[j] = best + e
+    dst[START] = INF  # START feeds the first frame only
     return lexhmm.n_arcs
 
 
@@ -146,9 +146,9 @@ def viterbi_flipflop(lexhmm: LexiconHMM, obs) -> DecodeResult:
     """1-best token passing with two flip-flop arrays (2N token slots)."""
     n_states = lexhmm.n_states
     res = DecodeResult(token_slots=2 * n_states)
-    src, dst = _tokens(n_states, start=True), _tokens(n_states)
-    for symbol in obs:
-        res.ops += _step(lexhmm, symbol, src, dst)
+    src, dst = _tokens(n_states), _tokens(n_states)
+    for col in _columns(lexhmm, obs):
+        res.ops += _step(lexhmm, col, src, dst)
         src, dst = dst, src
     res.ranking = _ranking(lexhmm, [k for k, _f in _best_final(lexhmm, src)])
     return res
@@ -159,9 +159,9 @@ def viterbi_inplace(lexhmm: LexiconHMM, obs) -> DecodeResult:
     topological order so each predecessor is read before being overwritten."""
     n_states = lexhmm.n_states
     res = DecodeResult(token_slots=n_states)
-    tokens = _tokens(n_states, start=True)
-    for symbol in obs:
-        res.ops += _step(lexhmm, symbol, tokens, tokens, reverse=True)
+    tokens = _tokens(n_states)
+    for col in _columns(lexhmm, obs):
+        res.ops += _step(lexhmm, col, tokens, tokens)
     res.ranking = _ranking(lexhmm, [k for k, _f in _best_final(lexhmm, tokens)])
     return res
 
@@ -171,10 +171,11 @@ def viterbi_tabular(lexhmm: LexiconHMM, obs) -> DecodeResult:
     backtracking (N*T token slots)."""
     n_states = lexhmm.n_states
     res = DecodeResult(token_slots=n_states * len(obs))
+    cols = _columns(lexhmm, obs)
     # lattice[t] holds the tokens after t frames; lattice[0] is the start.
-    lattice = [_tokens(n_states, start=True)] + [_tokens(n_states) for _ in obs]
-    for t, symbol in enumerate(obs):
-        res.ops += _step(lexhmm, symbol, lattice[t], lattice[t + 1])
+    lattice = [_tokens(n_states) for _ in range(len(obs) + 1)]
+    for t, col in enumerate(cols):
+        res.ops += _step(lexhmm, col, lattice[t], lattice[t + 1])
     top = _best_final(lexhmm, lattice[-1])
     if not top:
         return res
@@ -185,7 +186,7 @@ def viterbi_tabular(lexhmm: LexiconHMM, obs) -> DecodeResult:
     # frame's predecessor is START, which spells nothing.
     nodes = [lexhmm.state_node[j]]
     for t in range(len(obs) - 1, 0, -1):
-        before = lattice[t + 1][j] - lexhmm.emit_rows[j][lexhmm.symbol_index[obs[t]]]
+        before = lattice[t + 1][j] - cols[t][j]
         src = lattice[t]
         j = next(i for i, w in lexhmm.preds[j] if src[i] + w == before)
         nodes.append(lexhmm.state_node[j])
@@ -215,10 +216,8 @@ def _nbest(lexhmm: LexiconHMM, obs, n: int, merge_state) -> DecodeResult:
     # START (-1) reads the trailing list: one token for the first frame only.
     prev: list = [[] for _ in lexhmm.preds] + [[0]]
     held = 0  # tokens in prev, START's left out
-    for symbol in obs:
-        si = _symbol_index(lexhmm, symbol)
-        prev = [merge_state(prev, p, row[si], n, mask, res)
-                for p, row in zip(lexhmm.preds, lexhmm.emit_rows)]
+    for col in _columns(lexhmm, obs):
+        prev = [merge_state(prev, p, e, n, mask, res) for p, e in zip(lexhmm.preds, col)]
         now = sum(map(len, prev))
         res.token_slots = max(res.token_slots, held + now)  # both frames alive
         held = now

@@ -35,9 +35,10 @@ class LexiconHMM:
     pph), and adding two packed values adds costs and pphs separately,
     since no path prefix has a pph above W - 1.  math.inf packs an
     impossible score.  preds[j] holds (source state or START, packed
-    transition: its cost and the arc's pph increment); emit_rows[j] holds
-    the packed emission costs (pph 0) of state j's letter model, one per
-    symbol; finals holds (exit state, sink-arc pph increment).
+    transition: its cost and the arc's pph increment); emissions[s][j] is
+    state j's packed emission cost (pph 0) for symbol s, so a frame reads
+    one column emissions[s]; finals holds (exit state, sink-arc pph
+    increment).
     n_arcs is the total length of the preds lists.
     """
 
@@ -45,9 +46,8 @@ class LexiconHMM:
     suff: tuple[int, ...]
     state_node: tuple[int, ...]
     preds: tuple
-    emit_rows: tuple
+    emissions: dict
     finals: tuple
-    symbol_index: dict
     pph_bits: int
     n_arcs: int
 
@@ -127,9 +127,8 @@ def expand(
         suff=compute_suff(automaton),
         state_node=tuple(state_node),
         preds=tuple(preds),
-        emit_rows=tuple(emit_rows),
+        emissions=dict(zip(config.alphabet, zip(*emit_rows))),
         finals=tuple(finals),
-        symbol_index={s: i for i, s in enumerate(config.alphabet)},
         pph_bits=bits,
         n_arcs=sum(map(len, preds)),
     )

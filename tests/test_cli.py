@@ -217,10 +217,11 @@ def test_decode_bad_symbol_continues(toy_paths, capsys):
     capsys.readouterr()
     obs = tmp / "obs.txt"
     obs.write_text("x y\nb c d\n")
-    assert main(["decode", str(auto), str(config), str(obs)]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("# error:")
-    assert "1 bcd 3" in out
+    for variant in ([], ["--variant", "nbest-improved", "--nbest", "2"]):
+        assert main(["decode", str(auto), str(config), str(obs), *variant]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("# error:")
+        assert "1 bcd 3" in out
 
 
 def test_gen_deterministic_and_truth_lines(toy_paths):

@@ -85,9 +85,18 @@ def test_unmatchable_symbol_gives_empty_ranking(toy_annotated):
 
 
 def test_unknown_symbol_raises(toy_lexhmm_onehot):
+    # Every decoder rejects the sequence, whether the unknown symbol comes
+    # first or after valid frames.
     lexhmm, _cfg, _hmms = toy_lexhmm_onehot
-    with pytest.raises(DecodeError):
-        viterbi_inplace(lexhmm, ["?"])
+    error = "observation symbol '\\?' not in alphabet"
+    for obs in (["?"], ["b", "c", "?"]):
+        for fn in (viterbi_tabular, viterbi_flipflop, viterbi_inplace):
+            with pytest.raises(DecodeError, match=error):
+                fn(lexhmm, obs)
+        for fn in (nbest_naive, nbest_improved):
+            for n in (2, lexhmm.automaton.word_count):
+                with pytest.raises(DecodeError, match=error):
+                    fn(lexhmm, obs, n)
 
 
 def test_empty_observation_sequence(toy_lexhmm_onehot):
@@ -159,7 +168,6 @@ def test_bellman_consistency():
     lat = [[NEG_INF] * n for _ in range(len(obs))]
     # rebuild the lattice with the tabular recurrence
     for t, sym in enumerate(obs):
-        si = lexhmm.symbol_index[sym]
         for j in range(n):
             best = NEG_INF
             for i, la, _dp in preds[j]:
@@ -170,17 +178,16 @@ def test_bellman_consistency():
                     continue
                 best = max(best, s0 + la)
             if best != NEG_INF:
-                lat[t][j] = best + unpack(lexhmm, lexhmm.emit_rows[j][si])[0]
+                lat[t][j] = best + unpack(lexhmm, lexhmm.emissions[sym][j])[0]
 
     # track naive n-best (cost, pph) token heads per state across time
     prev = [[] for _ in range(n)]
     start_list = [(0.0, 0)]
     for t, sym in enumerate(obs):
-        si = lexhmm.symbol_index[sym]
         cur = []
         for j in range(n):
             lst = []
-            b = unpack(lexhmm, lexhmm.emit_rows[j][si])[0]
+            b = unpack(lexhmm, lexhmm.emissions[sym][j])[0]
             for i, la, dp in preds[j]:
                 src = (start_list if t == 0 else ()) if i == START else prev[i]
                 for c0, p0 in src:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from flcva import (
@@ -130,6 +132,16 @@ def test_transition_scores_come_from_the_letter_models(toy_annotated):
                 assert log_a == 0.0
             else:
                 assert log_a == (log_self if src == j else log_forward)
-    for j, row in enumerate(lexhmm.emit_rows):
+    # emissions holds one column per alphabet symbol, one entry per state.
+    alphabet = onehot_config().alphabet
+    assert set(lexhmm.emissions) == set(alphabet)
+    assert all(len(col) == lexhmm.n_states for col in lexhmm.emissions.values())
+    for j in range(lexhmm.n_states):
         letter = dawg.labels[lexhmm.state_node[j]]
+        row = [lexhmm.emissions[s][j] for s in alphabet]
         assert [unpack(lexhmm, e) for e in row] == [(grid_score(c), 0) for c in hmms[letter].emission_costs[0]]
+    # A symbol no letter uses still gets a column, impossible at every state.
+    cfg = onehot_config(alphabet="abcdz")
+    lexhmm = expand(dawg, inc, make_letter_hmms("abcd", cfg), cfg)
+    assert set(lexhmm.emissions) == set(cfg.alphabet)
+    assert lexhmm.emissions["z"] == (math.inf,) * lexhmm.n_states
