@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
-from operator import lt, ne
+from operator import ne
 from typing import Iterable
 
 ROOT_LABEL = "ROOT"
@@ -25,17 +25,27 @@ class AutomatonError(ValueError):
     """Invalid lexicon input or malformed automaton structure."""
 
 
+class UnsortedWords(AutomatonError):
+    """A builder's word is not above the one before it (or is empty)."""
+
+
 @dataclass(frozen=True)
 class Lexicon:
-    """Deduplicated, sorted word list.
+    """Deduplicated, sorted word list, held whole.
 
-    from_words sorts the words once, as a list: Timsort takes linear time on
-    a list that is already sorted, as a word-list file usually is.  Equal
-    words are then adjacent, so duplicates are dropped by comparing each
-    word with the one before it; no hash set of the words is built.
+    The builders read any strictly ascending iterable of words once, so a
+    sorted, duplicate-free file can be streamed into them; a Lexicon is for
+    words that are not, and iterates over its words in order.  from_words
+    sorts the words once, as a list: Timsort takes linear time on a list
+    that is already sorted.  Equal words are then adjacent, so duplicates
+    are dropped by comparing each word with the one before it; no hash set
+    of the words is built.
     """
 
     words: tuple[str, ...]
+
+    def __iter__(self):
+        return iter(self.words)
 
     @classmethod
     def from_words(cls, words: Iterable[str]) -> "Lexicon":
@@ -100,24 +110,27 @@ def read_wordlist(text: str) -> Lexicon:
     return Lexicon.from_words(filter(None, map(str.strip, text.split("\n"))))
 
 
-def _freeze_words(lexicon: Lexicon, intern) -> None:
-    """Freeze each node of the words' trie through intern, successors first.
+class _End(str):
+    """The empty word that closes the walk; only its identity tells it from
+    an empty word in the input."""
+
+
+_END = _End()
+
+
+def _freeze_words(words: Iterable[str], intern) -> int:
+    """Freeze each node of the words' trie through intern, successors first;
+    return the number of words.
 
     Daciuk, Mihov, Watson and Watson (Computational Linguistics 26(1), 2000):
     only the previous word's path is open; when the next word leaves it, the
     nodes past the common prefix are frozen deepest first.  A frozen node's
     id is intern((label, *successor ids)); the sink is 0, and the root, the
-    only key with label None, is interned last.  The words must be strictly
-    ascending, as Lexicon.from_words keeps them.
+    only key with label None, is interned last.  The words are read once,
+    as they come, so no list of them is held: a stream must be strictly
+    ascending, and UnsortedWords is raised at the first word that is not
+    above the one before it.
     """
-    words = lexicon.words
-    if not words:
-        raise AutomatonError("cannot build an automaton from an empty lexicon")
-    if not all(map(lt, chain(("",), words), words)):
-        prev, w = next(p for p in zip(chain(("",), words), words) if p[0] >= p[1])
-        raise AutomatonError(
-            f"lexicon words must be non-empty and strictly ascending: {w!r} after {prev!r}"
-        )
     # The open path holds the previous word's proper prefixes, root first,
     # as two parallel lists: each node's [label, successor ids...] and
     # whether it ends a word.  The previous word's last node is not on it:
@@ -127,7 +140,11 @@ def _freeze_words(lexicon: Lexicon, intern) -> None:
     final = [False]
     prev = ""
     # the empty word at the end shares no prefix, so it freezes all but the root
-    for w in chain(words, ("",)):
+    for n, w in enumerate(chain(words, (_END,))):
+        if w <= prev and w is not _END:
+            raise UnsortedWords(
+                f"lexicon words must be non-empty and strictly ascending: {w!r} after {prev!r}"
+            )
         k = 0
         for a, b in zip(prev, w):
             if a != b:
@@ -146,7 +163,10 @@ def _freeze_words(lexicon: Lexicon, intern) -> None:
         path += map(list, w[k:-1])
         final += repeat(False, len(w) - k - 1)
         prev = w
+    if not n:
+        raise AutomatonError("cannot build an automaton from an empty lexicon")
     intern(tuple(path[0]))
+    return n
 
 
 def _numbered(interned, word_count: int) -> NodeAutomaton:
@@ -160,8 +180,9 @@ def _numbered(interned, word_count: int) -> NodeAutomaton:
     return NodeAutomaton(tuple([key[0] for key in nodes]), succs, word_count)
 
 
-def build_trie(lexicon: Lexicon) -> NodeAutomaton:
-    """Build the trie node-automaton with a single shared sink.
+def build_trie(words: Iterable[str]) -> NodeAutomaton:
+    """Build the trie node-automaton of strictly ascending words (a Lexicon,
+    or a stream read once) with a single shared sink.
 
     One node per distinct word prefix; every word end routes to the sink.
     Every frozen node is a new node, so ids are in reverse freeze order.
@@ -172,20 +193,22 @@ def build_trie(lexicon: Lexicon) -> NodeAutomaton:
         nodes.append(key)
         return len(nodes)
 
-    _freeze_words(lexicon, new_node)
-    return _numbered(nodes, lexicon.word_count)
+    word_count = _freeze_words(words, new_node)
+    return _numbered(nodes, word_count)
 
 
-def build_dawg(lexicon: Lexicon) -> NodeAutomaton:
-    """Build the minimal node-automaton (DAWG) straight from the sorted words.
+def build_dawg(words: Iterable[str]) -> NodeAutomaton:
+    """Build the minimal node-automaton (DAWG) straight from strictly
+    ascending words (a Lexicon, or a stream read once).
 
     The walk of build_trie, but a frozen node equal to one in the register
     (same label, same successors) is replaced by it, so the trie is never
-    built.  The result equals minimize(build_trie(lexicon)).
+    built and memory follows the DAWG.  The result equals
+    minimize(build_trie(words)).
     """
     register = defaultdict(count(1).__next__)  # (label, *successor ids) -> id
-    _freeze_words(lexicon, register.__getitem__)
-    return _numbered(register, lexicon.word_count)
+    word_count = _freeze_words(words, register.__getitem__)
+    return _numbered(register, word_count)
 
 
 def minimize(trie: NodeAutomaton) -> NodeAutomaton:

@@ -7,9 +7,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 
 from .automaton import (
     AutomatonError,
+    UnsortedWords,
     build_dawg,
     build_trie,
     parse_automaton,
@@ -28,11 +30,32 @@ class InputError(Exception):
     """Unusable input file or option combination (exit code 2)."""
 
 
+# characters per read when a word list is streamed
+_BLOCK = 1 << 16
+
+
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _stream_words(path: str):
+    """The words read_wordlist(_read(path)) would see, in file order, read in
+    blocks: each line stripped, blank lines dropped, no sort."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            tail = ""
+            while block := fh.read(_BLOCK):
+                lines = (tail + block).split("\n")
+                tail = lines.pop()  # the line the next block may go on with
+                yield from filter(None, map(str.strip, lines))
+            yield from filter(None, [tail.strip()])
+    except (OSError, UnicodeDecodeError) as exc:
+        if isinstance(exc, UnicodeDecodeError):
+            _read(path)  # raises with the bad byte's offset in the file, not in a block
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -64,13 +87,27 @@ def _load_config(path: str):
 
 
 def cmd_build(args) -> int:
-    lexicon = _load_lexicon(args.wordlist)
-    auto = build_dawg(lexicon) if args.dawg else build_trie(lexicon)
+    build = build_dawg if args.dawg else build_trie
+    words = _stream_words(args.wordlist)
+    first = next(words, None)
+    if first is None:
+        raise InputError(f"word list {args.wordlist} is empty")
+    try:
+        auto = build(chain((first,), words))
+    except UnsortedWords:
+        auto = None
+    # Stripped words hold whitespace only inside, so one whitespace label
+    # means a word the automaton file cannot store.
+    if auto is None or any(map(str.isspace, auto.letters)):
+        # A list out of order or with duplicates is sorted once and gives the
+        # same automaton; for a word with whitespace this raises the error
+        # that names it.
+        auto = build(_load_lexicon(args.wordlist))
     suff = compute_suff(auto)
     increments = annotate_increments(auto, suff)
     _write(args.out, serialize_automaton(auto, suff, increments))
     print(
-        f"N={auto.node_count} arcs={auto.arc_count} W={lexicon.word_count} "
+        f"N={auto.node_count} arcs={auto.arc_count} W={auto.word_count} "
         f"p={auto.arc_count / auto.node_count:.6g}"
     )
     return 0

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from flcva import (
     AutomatonError,
     Lexicon,
+    UnsortedWords,
     build_dawg,
     build_trie,
     expand,
@@ -93,23 +94,35 @@ def test_empty_lexicon_rejected():
         build_dawg(Lexicon.from_words([]))
 
 
+# an empty word last must not pass for the walk's closing empty word
 NOT_STRICTLY_ASCENDING = pytest.mark.parametrize(
-    "words", [("ab", "ab", "b"), ("b", "ab"), ("", "a")],
-    ids=["duplicate", "unsorted", "empty-word"])
+    "words", [("ab", "ab", "b"), ("b", "ab"), ("", "a"), ("a", "b", "")],
+    ids=["duplicate", "unsorted", "empty-word", "empty-word-last"])
 
 
 @NOT_STRICTLY_ASCENDING
 def test_build_dawg_rejects_words_not_strictly_ascending(words):
     # Lexicon(...) bypasses from_words; a duplicate made word_count=3 for an
     # automaton that accepts 2 words
-    with pytest.raises(AutomatonError, match="strictly ascending"):
+    with pytest.raises(UnsortedWords, match="strictly ascending"):
         build_dawg(Lexicon(words))
+    with pytest.raises(UnsortedWords, match="strictly ascending"):
+        build_dawg(iter(words))
 
 
 @NOT_STRICTLY_ASCENDING
 def test_build_trie_rejects_words_not_strictly_ascending(words):
-    with pytest.raises(AutomatonError, match="strictly ascending"):
+    with pytest.raises(UnsortedWords, match="strictly ascending"):
         build_trie(Lexicon(words))
+    with pytest.raises(UnsortedWords, match="strictly ascending"):
+        build_trie(iter(words))
+
+
+def test_unsorted_words_message_names_the_pair():
+    with pytest.raises(UnsortedWords) as caught:
+        build_dawg(iter(["ab", "b", "ba", "b"]))
+    assert str(caught.value) == (
+        "lexicon words must be non-empty and strictly ascending: 'b' after 'ba'")
 
 
 def test_empty_word_rejected():
@@ -225,6 +238,20 @@ def test_build_dawg_equals_minimized_trie_property(words):
 ], ids=["toy", "120x90"])
 def test_build_dawg_equals_minimized_trie(lex):
     assert _annotated_text(build_dawg(lex)) == _annotated_text(minimize(build_trie(lex)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sets(st.text(alphabet="abc", min_size=1, max_size=6), min_size=1, max_size=40)
+)
+def test_builders_read_a_one_shot_iterator_property(words):
+    # a builder reads its words once, as they come: a generator that cannot
+    # be rewound builds what the Lexicon of the same words builds
+    lex = Lexicon.from_words(words)
+    for build in (build_dawg, build_trie):
+        streamed = build(iter(sorted(words)))
+        assert streamed == build(lex)
+        assert streamed.word_count == len(words)
 
 
 @settings(max_examples=100, deadline=None)

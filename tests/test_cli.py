@@ -2,13 +2,16 @@ import os
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flcva.automaton import Lexicon, build_trie, minimize, serialize_automaton
+from flcva.automaton import Lexicon, build_dawg, build_trie, minimize, read_wordlist, serialize_automaton
 from flcva.bench import generate_sequences
-from flcva.cli import main
+from flcva.cli import _BLOCK, main
 from flcva.decode import DecodeResult, format_result
 from flcva.hmm import HmmConfig, format_config, format_observations, make_letter_hmms, parse_config
 from flcva.oracle import nbest_exhaustive
@@ -34,6 +37,11 @@ def toy_paths(tmp_path):
     return wordlist, config, tmp_path
 
 
+def _automaton_file(auto) -> str:
+    suff = compute_suff(auto)
+    return serialize_automaton(auto, suff, annotate_increments(auto, suff))
+
+
 def test_build_trie_prints_stats(toy_paths, capsys):
     wordlist, _config, tmp = toy_paths
     out = tmp / "trie.auto"
@@ -52,10 +60,7 @@ def test_build_dawg_prints_stats(toy_paths, capsys):
 
 def test_build_dawg_does_not_build_the_trie(toy_paths, monkeypatch):
     wordlist, _config, tmp = toy_paths
-    lex = Lexicon.from_words(TOY_WORDS)
-    dawg = minimize(build_trie(lex))
-    suff = compute_suff(dawg)
-    expected = serialize_automaton(dawg, suff, annotate_increments(dawg, suff))
+    expected = _automaton_file(minimize(build_trie(Lexicon.from_words(TOY_WORDS))))
 
     def no_trie(_lexicon):
         raise AssertionError("build --dawg built the trie")
@@ -82,6 +87,57 @@ def test_build_is_deterministic(toy_paths):
         assert built[0] == built[1] == built[2], mode
 
 
+def test_build_streams_a_sorted_list(tmp_path, monkeypatch):
+    # 10,800 words in 97,200 bytes: a word straddles the first block boundary
+    lex = synthetic_lexicon(120, 90)
+    text = "\n".join(lex) + "\n"
+    assert "\n" not in text[_BLOCK - 1 : _BLOCK + 1]
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text)
+    # a byte-order mark is not part of the first word, CRLF ends a line
+    marked.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())
+
+    def no_list(_text):
+        raise AssertionError("build held the whole word list")
+
+    monkeypatch.setattr("flcva.cli.read_wordlist", no_list)
+    for mode, build in (("--dawg", build_dawg), ("--trie", build_trie)):
+        expected = _automaton_file(build(lex))
+        for words in (plain, marked):
+            out = tmp_path / f"{words.stem}{mode}.auto"
+            assert main(["build", str(words), str(out), mode]) == 0
+            assert out.read_text() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.text(alphabet="ab\u00e9", min_size=1, max_size=5), min_size=1, max_size=30),
+    st.sampled_from(["sorted", "sorted-unique", "shuffled"]),
+    st.lists(st.sampled_from(["", "  ", "\t"]), max_size=4),
+    st.sampled_from(["\n", "\r\n"]),
+    st.randoms(),
+)
+def test_build_file_is_the_library_build_property(words, order, blanks, newline, rnd):
+    # sorted and duplicate-free lists are streamed; the rest take the sort
+    if order == "sorted":
+        words.sort()
+    elif order == "sorted-unique":
+        words = sorted(set(words))
+    else:
+        rnd.shuffle(words)
+    lines = [f" {w}" if rnd.random() < 0.2 else w for w in words]
+    for blank in blanks:
+        lines.insert(rnd.randrange(len(lines) + 1), blank)
+    text = newline.join(lines) + rnd.choice(["", newline])
+    lex = read_wordlist(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        wordlist, out = Path(tmp, "words.txt"), Path(tmp, "x.auto")
+        wordlist.write_bytes(text.encode())
+        for mode, build in (("--dawg", build_dawg), ("--trie", build_trie)):
+            assert main(["build", str(wordlist), str(out), mode]) == 0
+            assert out.read_text() == _automaton_file(build(lex))
+
+
 def test_build_missing_file_exits_2(toy_paths, capsys):
     _wordlist, _config, tmp = toy_paths
     assert main(["build", str(tmp / "nope.txt"), str(tmp / "o"), "--trie"]) == 2
@@ -91,8 +147,10 @@ def test_build_missing_file_exits_2(toy_paths, capsys):
 def test_build_empty_wordlist_exits_2(toy_paths, capsys):
     _wordlist, _config, tmp = toy_paths
     empty = tmp / "empty.txt"
-    empty.write_text("\n\n")
-    assert main(["build", str(empty), str(tmp / "o"), "--trie"]) == 2
+    for text in ("\n\n", "\n  \n\t\r\n"):
+        empty.write_bytes(text.encode())
+        assert main(["build", str(empty), str(tmp / "o"), "--trie"]) == 2
+        assert capsys.readouterr().err == f"error: word list {empty} is empty\n"
 
 
 def test_decode_onehot_bcd(toy_paths, capsys):
@@ -494,21 +552,28 @@ def test_node_off_every_word_path_exits_2(toy_paths, capsys):
 
 def test_word_with_whitespace_exits_2(toy_paths, capsys):
     # the automaton file is whitespace-delimited, so "a b" cannot be stored;
-    # str.splitlines broke "ab\fcd" into the words "ab" and "cd"
+    # str.splitlines broke "ab\fcd" into the words "ab" and "cd".  The
+    # error names the word whether the list is sorted, and so streamed, or not.
     wordlist, _config, tmp = toy_paths
     out = tmp / "x.auto"
-    for text in ("ab\na b\nc\n", "ab\x0ccd\nba\n"):
+    for text, word in (("ab\na b\nc\n", "a b"), ("a b\nab\nc\n", "a b"),
+                       ("ab\x0ccd\nba\n", "ab\x0ccd")):
         wordlist.write_text(text)
         assert main(["build", str(wordlist), str(out), "--dawg"]) == 2
-        _assert_one_error_line(capsys)
+        assert capsys.readouterr().err == f"error: word {word!r} contains whitespace\n"
         assert not out.exists()
 
 
 def test_undecodable_word_list_exits_2(toy_paths, capsys):
+    # past the first block too, the error gives the bad byte's offset in the
+    # file, not in its block
     wordlist, _config, tmp = toy_paths
-    wordlist.write_bytes(b"ab\n\xff\n")
-    assert main(["build", str(wordlist), str(tmp / "x.auto"), "--dawg"]) == 2
-    _assert_one_error_line(capsys)
+    for text in ("ab\n", "\n".join(synthetic_lexicon(120, 90)) + "\n"):
+        wordlist.write_bytes(text.encode() + b"\xff\n")
+        assert main(["build", str(wordlist), str(tmp / "x.auto"), "--dawg"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read {wordlist}: 'utf-8' codec can't decode byte 0xff "
+            f"in position {len(text)}: invalid start byte\n")
 
 
 def test_byte_order_mark_is_not_read_as_text(toy_paths, capsys):
