@@ -4,7 +4,10 @@ Variants: tabular (full lattice + backtracking, the reference), flip-flop
 (two token arrays), in-place (one token array), and n-best with naive and
 improved merging.  Every 1-best variant runs the same frame step, which
 scans the states in reverse topological order; in-place differs only in
-reading and writing one array.  Each frame reads one emission column,
+reading and writing one array.  The 1-best step relaxes every state, so
+its ops are T times the predecessor count, the work the work-scaling
+checks predict; the n-best loop merges only the states that can still
+reach a word end by the last frame.  Each frame reads one emission column,
 LexiconHMM.emissions[symbol], and a sequence's columns are looked up
 before its first frame runs.
 
@@ -41,6 +44,8 @@ class DecodeResult:
     """Ranked (word, path index, log score) rows plus instrumentation."""
 
     ranking: list = field(default_factory=list)
+    # 1-best counts every state at every frame; n-best only the states its
+    # time window merges (see _nbest).
     ops: int = 0            # 1-best: predecessor visits; n-best: candidate tokens read
     merges: int = 0         # token-list merge operations
     token_slots: int = 0    # peak token storage (n-best: tokens alive)
@@ -198,11 +203,48 @@ def viterbi_tabular(lexhmm: LexiconHMM, obs) -> DecodeResult:
 # --- n-best ----------------------------------------------------------------
 
 
+def _reach(lexhmm: LexiconHMM) -> tuple[list, list]:
+    """(d, e): d[j] is the first frame (from 0) at which state j can hold a
+    token and e[j] the fewest frames from j to an exit state, math.inf for
+    none; both follow the graph's arcs, whatever their scores.
+
+    One forward and one backward pass over the states, which are numbered
+    in topological order.  Each list has a trailing START slot, as tokens
+    do: d's holds -1, so a START-fed state gets d = 0, and e's takes the
+    backward pass's writes to START and is never read.
+    """
+    preds = lexhmm.preds
+    d = [INF] * len(preds) + [-1]
+    for j, preds_j in enumerate(preds):
+        first = INF
+        for i, _w in preds_j:
+            if i != j and d[i] < first:
+                first = d[i]
+        d[j] = first + 1
+    e = [INF] * (len(preds) + 1)
+    for f, _dpph in lexhmm.finals:
+        e[f] = 0
+    for j in range(len(preds) - 1, -1, -1):
+        step = e[j] + 1
+        for i, _w in preds[j]:
+            if i != j and step < e[i]:
+                e[i] = step
+    return d[:-1], e[:-1]
+
+
 def _nbest(lexhmm: LexiconHMM, obs, n: int, merge_state) -> DecodeResult:
     """n-best token passing.  Each frame, merge_state(prev, preds[j], e, n,
     mask, res) builds state j's sorted token list, emission e added, from
     its predecessors' lists in prev, keeping one token per pph (token &
     mask), and adds its work to res's counters.
+
+    Only the states that can lie on a path ending at an exit state at the
+    last frame are merged: at frame t of T, those with d(j) <= t <=
+    T - 1 - e(j) (see _reach).  Every other state gets an empty list.  A
+    state outside the window before d(j) holds no token anyway, and one
+    past T - 1 - e(j) feeds only states that are past theirs, so each
+    merged state reads the lists a full relaxation would give it: rankings
+    are unchanged, and the counters count the work inside the window.
 
     n = 1 runs the 1-best kernel instead, counters and all: both break score
     ties toward the smaller pph, so its one token is the rank-1 token.
@@ -213,15 +255,26 @@ def _nbest(lexhmm: LexiconHMM, obs, n: int, merge_state) -> DecodeResult:
         return viterbi_inplace(lexhmm, obs)
     res = DecodeResult()
     mask = (1 << lexhmm.pph_bits) - 1
+    cols = _columns(lexhmm, obs)
+    preds = lexhmm.preds
+    # The states to merge at each frame, as (state, preds) pairs.
+    frames: list = [[] for _ in cols]
+    for j, (dj, ej) in enumerate(zip(*_reach(lexhmm))):
+        if dj + ej < len(cols):  # else no path through j fits in T, or none exists
+            entry = (j, preds[j])
+            for t in range(dj, len(cols) - ej):
+                frames[t].append(entry)
     # START (-1) reads the trailing list: one token for the first frame only.
-    prev: list = [[] for _ in lexhmm.preds] + [[0]]
+    prev: list = [()] * len(preds) + [[0]]
     held = 0  # tokens in prev, START's left out
-    for col in _columns(lexhmm, obs):
-        prev = [merge_state(prev, p, e, n, mask, res) for p, e in zip(lexhmm.preds, col)]
+    for col, frame in zip(cols, frames):
+        cur: list = [()] * (len(preds) + 1)
+        for j, p in frame:
+            cur[j] = merge_state(prev, p, col[j], n, mask, res)
+        prev = cur
         now = sum(map(len, prev))
         res.token_slots = max(res.token_slots, held + now)  # both frames alive
         held = now
-        prev.append([])
     res.ranking = _ranking(lexhmm, _top_n(
         [k + dpph for f, dpph in lexhmm.finals for k in prev[f]], n, mask))
     return res

@@ -182,14 +182,14 @@ GOLDEN_DECODE = {
 4 bb 2 -13.4016607013
 5 c 5 -15.0962564219
 6 ab 0 -17.2934809993
-# ops=97 merges=97 token_slots=31 emission_adds=97
+# ops=72 merges=72 token_slots=23 emission_adds=72
 1 ab 0 -2.49672460835
 2 bb 2 -6.3885449064
 3 ba 1 -10.2803652044
 4 bc 4 -10.2803652044
 5 c 5 -11.9749609251
-# ops=43 merges=43 token_slots=24 emission_adds=43
-# ops=3 merges=3 token_slots=3 emission_adds=3
+# ops=20 merges=20 token_slots=11 emission_adds=20
+# ops=0 merges=0 token_slots=0 emission_adds=0
 """,
 }
 

@@ -10,6 +10,7 @@ from flcva import (
     DecodeError,
     DecodeResult,
     HmmConfig,
+    Lexicon,
     build_dawg,
     decode_pph,
     expand,
@@ -25,7 +26,9 @@ from flcva import (
     viterbi_inplace,
     viterbi_tabular,
 )
-from flcva.decode import _merge_improved, _merge_naive, _merge_ranks, _nbest, _top_n, _unpack
+from flcva.decode import (
+    _merge_improved, _merge_naive, _merge_ranks, _nbest, _ranking, _reach, _top_n, _unpack,
+)
 from flcva.hmm import LOG_QUANTUM, NEG_INF
 from flcva.pph import annotate_increments, compute_suff
 from flcva.synth import random_lexicon, synthetic_lexicon
@@ -338,8 +341,8 @@ def test_merge_improved_readmits_a_pph_it_pushed_out():
 def test_all_words_tokens_held_bounded_by_trie_states(merge):
     # At n = W each token held at a DAWG state has its own pph prefix, and
     # each such prefix is one trie state: a frame holds at most
-    # states_per_letter tokens per trie letter node, and all of them once
-    # every state is reachable.
+    # states_per_letter tokens per trie letter node.  The last frame merges
+    # only the exit states, which hold one token per word.
     lex = synthetic_lexicon(6, 5, prefix_len=3, suffix_len=3, seed=4)
     cfg = HmmConfig(alphabet=tuple("abcdefghij"), states_per_letter=2,
                     self_loop_prob=0.3, emission_peak=0.6)
@@ -349,13 +352,13 @@ def test_all_words_tokens_held_bounded_by_trie_states(merge):
                     make_letter_hmms("abcdefghij", cfg), cfg)
     bound = cfg.states_per_letter * (build_trie(lex).node_count - 2)
     held = []  # tokens held after each frame
-    calls = 0
+    frame_prev = None
 
     def counting(prev, preds_j, e, n, mask, res):
-        nonlocal calls
-        if calls % lexhmm.n_states == 0:
-            held.append(0)  # _nbest merges every state once per frame
-        calls += 1
+        nonlocal frame_prev
+        if prev is not frame_prev:  # every merge of a frame reads one prev
+            frame_prev = prev
+            held.append(0)
         lst = merge(prev, preds_j, e, n, mask, res)
         held[-1] += len(lst)
         return lst
@@ -366,8 +369,116 @@ def test_all_words_tokens_held_bounded_by_trie_states(merge):
     # token_slots: the peak over frames of the previous and new frame's tokens
     assert result.token_slots == max(a + b for a, b in zip([0] + held, held))
     assert max(held) <= bound
-    assert held[-1] == bound
+    assert held[-1] == lex.word_count
     assert len(result.ranking) == lex.word_count
+
+
+@pytest.mark.parametrize("states", [1, 2, 3])
+def test_reach_is_exact_on_the_toy_dawg(toy_annotated, states):
+    # Per letter node of the toy DAWG (ab ba bb bc bcd c): the fewest
+    # letters before it on a path from the root, and after it to a word end.
+    dawg, _suff, inc = toy_annotated
+    letters = {1: (0, 0), 2: (0, 1), 3: (1, 0), 4: (2, 0), 5: (1, 0), 6: (0, 1), 7: (1, 0)}
+    cfg = onehot_config(states=states)
+    lexhmm = expand(dawg, inc, make_letter_hmms("abcd", cfg), cfg)
+    first = {}
+    d, e = _reach(lexhmm)
+    for j, node in enumerate(lexhmm.state_node):
+        k = j - first.setdefault(node, j)  # the state's place in its letter
+        before, after = letters[node]
+        assert (d[j], e[j]) == (states * before + k, states * after + states - 1 - k)
+
+
+def _full_nbest(lexhmm, obs, n, merge_state):
+    """_nbest with every state merged at every frame: the reference the
+    time window must match."""
+    res = DecodeResult()
+    mask = (1 << lexhmm.pph_bits) - 1
+    prev = [[] for _ in lexhmm.preds] + [[0]]
+    held = 0
+    for symbol in obs:
+        col = lexhmm.emissions[symbol]
+        prev = [merge_state(prev, p, e, n, mask, res) for p, e in zip(lexhmm.preds, col)]
+        now = sum(map(len, prev))
+        res.token_slots = max(res.token_slots, held + now)
+        held = now
+        prev.append([])
+    res.ranking = _ranking(lexhmm, _top_n(
+        [k + dpph for f, dpph in lexhmm.finals for k in prev[f]], n, mask))
+    return res
+
+
+_COUNTERS = ("ops", "merges", "token_slots", "emission_adds")
+
+
+def _lexhmm(auto, hmms, cfg):
+    return expand(auto, annotate_increments(auto, compute_suff(auto)), hmms, cfg)
+
+
+@st.composite
+def _small_lexicon_cases(draw):
+    """(lexicon, letter models, config, obs) over 'abc', with T from 0 to
+    two frames past the longest word's."""
+    words = draw(st.lists(st.text(alphabet="abc", min_size=1, max_size=5),
+                          min_size=2, max_size=12, unique=True))
+    cfg = HmmConfig(alphabet=tuple("abc"), states_per_letter=draw(st.integers(1, 3)),
+                    self_loop_prob=draw(st.sampled_from([0.3, 0.5])),
+                    emission_peak=draw(st.sampled_from([0.4, 0.7, 1.0])))
+    frames = cfg.states_per_letter * max(map(len, words)) + 2
+    obs = draw(st.lists(st.sampled_from("abc"), max_size=frames))
+    return Lexicon.from_words(words), make_letter_hmms("abc", cfg), cfg, obs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_lexicon_cases(), st.data())
+def test_time_window_keeps_rankings_and_cuts_work(case, data):
+    lex, hmms, cfg, obs = case
+    n = data.draw(st.integers(2, lex.word_count + 1))
+    exact = nbest_exhaustive(lex, hmms, cfg, obs, n)
+    for auto in (build_trie(lex), build_dawg(lex)):
+        lexhmm = _lexhmm(auto, hmms, cfg)
+        for merge in (_merge_naive, _merge_improved):
+            windowed = _nbest(lexhmm, obs, n, merge)
+            full = _full_nbest(lexhmm, obs, n, merge)
+            assert windowed.ranking == full.ranking == exact
+            for name in _COUNTERS:
+                assert getattr(windowed, name) <= getattr(full, name), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_lexicon_cases())
+def test_all_words_trie_and_dawg_do_the_same_work(case):
+    # At n = W no token is dropped, and a DAWG state holds one token per
+    # prefix that reaches it, which is one trie state: both structures read,
+    # hold and extend the same tokens.  Improved's merges may differ (below).
+    lex, hmms, cfg, obs = case
+    trie, dawg = (_lexhmm(b(lex), hmms, cfg) for b in (build_trie, build_dawg))
+    w = lex.word_count
+    naive = nbest_naive(trie, obs, w), nbest_naive(dawg, obs, w)
+    improved = nbest_improved(trie, obs, w), nbest_improved(dawg, obs, w)
+    assert naive[0].ranking == naive[1].ranking == improved[0].ranking == improved[1].ranking
+    for name in _COUNTERS:
+        assert getattr(naive[0], name) == getattr(naive[1], name), name
+    for name in ("ops", "token_slots", "emission_adds"):
+        assert getattr(improved[0], name) == getattr(improved[1], name), name
+
+
+def test_all_words_improved_merges_differ_between_trie_and_dawg():
+    # The improved merge's rank loop counts a token merged only when it
+    # passes the quick reject, which fires only in a full list; a state whose
+    # candidates fit in n counts them all.  The DAWG's shared last 'c' gathers
+    # the tokens of both words' last letters and fills its list of n = W = 2,
+    # where each of the trie's two last-letter states fits in n.
+    lex = Lexicon.from_words(["bac", "cacacc"])
+    cfg = HmmConfig(alphabet=tuple("abc"), states_per_letter=1,
+                    self_loop_prob=0.3, emission_peak=0.7)
+    hmms = make_letter_hmms("abc", cfg)
+    obs = list("cbbacabcbbbbccca")
+    trie, dawg = (nbest_improved(_lexhmm(b(lex), hmms, cfg), obs, 2)
+                  for b in (build_trie, build_dawg))
+    assert trie.ranking == dawg.ranking
+    assert [getattr(trie, name) for name in _COUNTERS] == [184, 184, 18, 108]
+    assert [getattr(dawg, name) for name in _COUNTERS] == [184, 179, 18, 108]
 
 
 def test_nbest_single_word_onehot(toy_lexhmm_onehot):
