@@ -7,9 +7,10 @@ scans the states in reverse topological order; in-place differs only in
 reading and writing one array.  The 1-best step relaxes every state, so
 its ops are T times the predecessor count, the work the work-scaling
 checks predict; the n-best loop merges only the states that can still
-reach a word end by the last frame.  Each frame reads one emission column,
-LexiconHMM.emissions[symbol], and a sequence's columns are looked up
-before its first frame runs.
+reach a word end by the last frame, and below n = W it cuts every token
+whose best completion, from one backward pass, cannot reach the top n.
+Each frame reads one emission column, LexiconHMM.emissions[symbol], and a
+sequence's columns are looked up before its first frame runs.
 
 A token is one int, `cost << pph_bits | pph`: cost is the path's negated
 log score in 2^-32 grid units and pph its path-history index (see
@@ -24,7 +25,7 @@ addition.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -45,7 +46,8 @@ class DecodeResult:
 
     ranking: list = field(default_factory=list)
     # 1-best counts every state at every frame; n-best only the states its
-    # time window merges (see _nbest).
+    # time window merges, reading the tokens its completion bound left, and
+    # not its backward pass (see _nbest).
     ops: int = 0            # 1-best: predecessor visits; n-best: candidate tokens read
     merges: int = 0         # token-list merge operations
     token_slots: int = 0    # peak token storage (n-best: tokens alive)
@@ -232,6 +234,53 @@ def _reach(lexhmm: LexiconHMM) -> tuple[list, list]:
     return d[:-1], e[:-1]
 
 
+def _frames(lexhmm: LexiconHMM, n_frames: int) -> list:
+    """The states to merge at each of n_frames frames, as (state, preds)
+    pairs in state order: at frame t those with d(j) <= t <= T - 1 - e(j)
+    (see _reach)."""
+    preds = lexhmm.preds
+    frames: list = [[] for _ in range(n_frames)]
+    for j, (dj, ej) in enumerate(zip(*_reach(lexhmm))):
+        if dj + ej < n_frames:  # else no path through j fits in T, or none exists
+            entry = (j, preds[j])
+            for t in range(dj, n_frames - ej):
+                frames[t].append(entry)
+    return frames
+
+
+def _completions(lexhmm: LexiconHMM, cols: list, frames: list) -> list:
+    """back[t][j]: the best completion of a token held at state j after
+    frame t, math.inf for none.
+
+    A completion is the packed cost and pph increments of the rest of a
+    path: transitions and emissions of frames t + 1 .. T - 1, then the sink
+    arc's increment.  One backward min-plus pass over the frames' windows:
+    at the last frame an exit state holds its sink-arc increment, and each
+    earlier frame relaxes every predecessor of the next frame's windowed
+    states.  back[t][j] is exact for every state j in frames[t].
+    """
+    if not cols:
+        return []
+    after = [INF] * (len(lexhmm.preds) + 1)
+    for f, dpph in lexhmm.finals:
+        after[f] = dpph
+    back = [after]
+    for t in range(len(cols) - 1, 0, -1):
+        col = cols[t]
+        cur = [INF] * len(after)
+        for j, preds_j in frames[t]:
+            rest = col[j] + after[j]
+            if rest != INF:
+                for i, w in preds_j:
+                    c = w + rest
+                    if c < cur[i]:
+                        cur[i] = c
+        back.append(cur)
+        after = cur
+    back.reverse()
+    return back
+
+
 def _nbest(lexhmm: LexiconHMM, obs, n: int, merge_state) -> DecodeResult:
     """n-best token passing.  Each frame, merge_state(prev, preds[j], e, n,
     mask, res) builds state j's sorted token list, emission e added, from
@@ -240,11 +289,26 @@ def _nbest(lexhmm: LexiconHMM, obs, n: int, merge_state) -> DecodeResult:
 
     Only the states that can lie on a path ending at an exit state at the
     last frame are merged: at frame t of T, those with d(j) <= t <=
-    T - 1 - e(j) (see _reach).  Every other state gets an empty list.  A
+    T - 1 - e(j) (see _frames).  Every other state gets an empty list.  A
     state outside the window before d(j) holds no token anyway, and one
     past T - 1 - e(j) feeds only states that are past theirs, so each
-    merged state reads the lists a full relaxation would give it: rankings
-    are unchanged, and the counters count the work inside the window.
+    merged state reads the lists a full relaxation would give it.
+
+    Below n = W the merged lists are then cut by an exact completion
+    bound.  A backward pass first gives B = back[t][j], the best completion
+    of a token at state j after frame t (see _completions).  k + B is the
+    final token of a real path, the best one through k, so the bound U, the
+    n-th best token of distinct pph among the completions lst[0] + B of
+    every state merged so far, is at least the n-th best final token.  A
+    token k with k + B > U lies on the best path of no top-n word, so it is
+    cut; cutting a token only takes a competitor out of later lists, and
+    every token left is still a real path of its pph.  U takes in a whole
+    frame before that frame's lists are cut, so the cuts do not depend on
+    the order in which a frame's states are merged.  Rankings are
+    unchanged, and the counters count the merges' work, not the backward
+    pass.  At n >= W, U forms only once every word has a completion, so the
+    pass and the bound are skipped: the all-words work stays the same on a
+    trie and a DAWG.
 
     n = 1 runs the 1-best kernel instead, counters and all: both break score
     ties toward the smaller pph, so its one token is the rank-1 token.
@@ -256,23 +320,27 @@ def _nbest(lexhmm: LexiconHMM, obs, n: int, merge_state) -> DecodeResult:
     res = DecodeResult()
     mask = (1 << lexhmm.pph_bits) - 1
     cols = _columns(lexhmm, obs)
-    preds = lexhmm.preds
-    # The states to merge at each frame, as (state, preds) pairs.
-    frames: list = [[] for _ in cols]
-    for j, (dj, ej) in enumerate(zip(*_reach(lexhmm))):
-        if dj + ej < len(cols):  # else no path through j fits in T, or none exists
-            entry = (j, preds[j])
-            for t in range(dj, len(cols) - ej):
-                frames[t].append(entry)
+    frames = _frames(lexhmm, len(cols))
+    bounded = n < lexhmm.automaton.word_count
+    back = _completions(lexhmm, cols, frames) if bounded else [None] * len(cols)
+    top: list = []  # the n best completions seen, one per pph
     # START (-1) reads the trailing list: one token for the first frame only.
-    prev: list = [()] * len(preds) + [[0]]
+    prev: list = [()] * len(lexhmm.preds) + [[0]]
     held = 0  # tokens in prev, START's left out
-    for col, frame in zip(cols, frames):
-        cur: list = [()] * (len(preds) + 1)
+    for col, frame, after in zip(cols, frames, back):
+        cur: list = [()] * len(prev)
         for j, p in frame:
             cur[j] = merge_state(prev, p, col[j], n, mask, res)
+        if bounded:
+            top = _top_n(top + [cur[j][0] + after[j] for j, _p in frame
+                                if cur[j] and after[j] != INF], n, mask)
+            if len(top) == n:
+                bound = top[-1]
+                for j, _p in frame:
+                    if cur[j]:
+                        del cur[j][bisect_right(cur[j], bound - after[j]):]
         prev = cur
-        now = sum(map(len, prev))
+        now = sum(len(cur[j]) for j, _p in frame)
         res.token_slots = max(res.token_slots, held + now)  # both frames alive
         held = now
     res.ranking = _ranking(lexhmm, _top_n(

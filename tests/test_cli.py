@@ -191,10 +191,21 @@ GOLDEN_DECODE = {
 # ops=20 merges=20 token_slots=11 emission_adds=20
 # ops=0 merges=0 token_slots=0 emission_adds=0
 """,
+    # The rank rows are those of a run without the completion bound; the
+    # trailers count the work left after its cuts.
+    ("--variant", "nbest-naive", "--nbest", "2"): """\
+1 bcd 3 -3.92342438456
+2 bc 4 -9.50984040322
+# ops=26 merges=26 token_slots=5 emission_adds=26
+1 ab 0 -2.49672460835
+2 bb 2 -6.3885449064
+# ops=11 merges=11 token_slots=4 emission_adds=11
+# ops=0 merges=0 token_slots=0 emission_adds=0
+""",
 }
 
 
-@pytest.mark.parametrize("options", GOLDEN_DECODE, ids=["inplace", "nbest-naive-all"])
+@pytest.mark.parametrize("options", GOLDEN_DECODE, ids=["inplace", "nbest-naive-all", "nbest-naive-2"])
 def test_decode_output_is_golden(toy_paths, capsys, options):
     # self-loops and off-peak emissions give every row its own score bits;
     # the last sequence is too short for any word

@@ -3,7 +3,7 @@ import random
 from bisect import bisect_right
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flcva import (
@@ -27,7 +27,8 @@ from flcva import (
     viterbi_tabular,
 )
 from flcva.decode import (
-    _merge_improved, _merge_naive, _merge_ranks, _nbest, _ranking, _reach, _top_n, _unpack,
+    _best_final, _columns, _completions, _frames, _merge_improved, _merge_naive, _merge_ranks,
+    _nbest, _ranking, _reach, _step, _tokens, _top_n, _unpack,
 )
 from flcva.hmm import LOG_QUANTUM, NEG_INF
 from flcva.pph import annotate_increments, compute_suff
@@ -416,14 +417,14 @@ def _lexhmm(auto, hmms, cfg):
 
 
 @st.composite
-def _small_lexicon_cases(draw):
+def _small_lexicon_cases(draw, self_loops=(0.3, 0.5), peaks=(0.4, 0.7, 1.0)):
     """(lexicon, letter models, config, obs) over 'abc', with T from 0 to
     two frames past the longest word's."""
     words = draw(st.lists(st.text(alphabet="abc", min_size=1, max_size=5),
                           min_size=2, max_size=12, unique=True))
     cfg = HmmConfig(alphabet=tuple("abc"), states_per_letter=draw(st.integers(1, 3)),
-                    self_loop_prob=draw(st.sampled_from([0.3, 0.5])),
-                    emission_peak=draw(st.sampled_from([0.4, 0.7, 1.0])))
+                    self_loop_prob=draw(st.sampled_from(self_loops)),
+                    emission_peak=draw(st.sampled_from(peaks)))
     frames = cfg.states_per_letter * max(map(len, words)) + 2
     obs = draw(st.lists(st.sampled_from("abc"), max_size=frames))
     return Lexicon.from_words(words), make_letter_hmms("abc", cfg), cfg, obs
@@ -443,6 +444,47 @@ def test_time_window_keeps_rankings_and_cuts_work(case, data):
             assert windowed.ranking == full.ranking == exact
             for name in _COUNTERS:
                 assert getattr(windowed, name) <= getattr(full, name), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_lexicon_cases(self_loops=(0.0, 0.3, 0.5), peaks=(1 / 3, 0.7, 1.0)), st.data())
+def test_completion_bound_keeps_rankings_and_cuts_work(case, data):
+    # Below n = W the bound cuts tokens.  Near-uniform emissions (1/3) and
+    # one-hot ones (1.0, which also kill every off-letter emission) make
+    # score ties, so the tie-break on pph decides which tokens the bound
+    # keeps; self-loop 0 fixes each word's frame count.
+    lex, hmms, cfg, obs = case
+    w = lex.word_count
+    assume(w > 2)
+    n = data.draw(st.sampled_from(sorted({2, 3, 5, w - 1} & set(range(2, w)))))
+    exact = nbest_exhaustive(lex, hmms, cfg, obs, n)
+    for auto in (build_trie(lex), build_dawg(lex)):
+        lexhmm = _lexhmm(auto, hmms, cfg)
+        for merge in (_merge_naive, _merge_improved):
+            bounded = _nbest(lexhmm, obs, n, merge)
+            full = _full_nbest(lexhmm, obs, n, merge)
+            assert bounded.ranking == full.ranking == exact
+            for name in _COUNTERS:
+                assert getattr(bounded, name) <= getattr(full, name), name
+
+
+def test_forward_and_backward_passes_meet_at_the_best_final_token():
+    # A token k at state j after frame t plus back[t][j] is the best final
+    # token of the paths through k.  Every complete path holds one windowed
+    # state at each frame, so at every frame the least such sum over the
+    # window is the 1-best final token, pph included.
+    for seed in range(30):
+        _lex, lexhmm, _hmms, _cfg, obs = _instance(seed + 3000)
+        cols = _columns(lexhmm, obs)
+        frames = _frames(lexhmm, len(cols))
+        back = _completions(lexhmm, cols, frames)
+        tokens = _tokens(lexhmm.n_states)
+        met = []
+        for col, frame, after in zip(cols, frames, back):
+            _step(lexhmm, col, tokens, tokens)
+            met.append(min((tokens[j] + after[j] for j, _p in frame), default=math.inf))
+        best = [k for k, _f in _best_final(lexhmm, tokens)] or [math.inf]
+        assert met == best * len(obs), f"seed {seed}"
 
 
 @settings(max_examples=150, deadline=None)
