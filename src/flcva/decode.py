@@ -6,9 +6,12 @@ improved merging.  Every 1-best variant runs the same frame step, which
 scans the states in reverse topological order; in-place differs only in
 reading and writing one array.  The 1-best step relaxes every state, so
 its ops are T times the predecessor count, the work the work-scaling
-checks predict; the n-best loop merges only the states that can still
-reach a word end by the last frame, and below n = W it cuts every token
-whose best completion, from one backward pass, cannot reach the top n.
+checks predict.  The n-best loop merges only live states: the successors
+of the previous frame's token holders that can still reach a word end by
+the last frame.  A state left out would merge only empty lists, so the
+counters are those of every state in that time window.  Below n = W the
+loop cuts every token whose best completion, from one backward pass,
+cannot reach the top n.
 Each frame reads one emission column, LexiconHMM.emissions[symbol], and a
 sequence's columns are looked up before its first frame runs.
 
@@ -45,9 +48,9 @@ class DecodeResult:
     """Ranked (word, path index, log score) rows plus instrumentation."""
 
     ranking: list = field(default_factory=list)
-    # 1-best counts every state at every frame; n-best only the states its
-    # time window merges, reading the tokens its completion bound left, and
-    # not its backward pass (see _nbest).
+    # 1-best counts every state at every frame; n-best only the live states
+    # it merges, reading the tokens its completion bound left, and not its
+    # backward pass (see _nbest).
     ops: int = 0            # 1-best: predecessor visits; n-best: candidate tokens read
     merges: int = 0         # token-list merge operations
     token_slots: int = 0    # peak token storage (n-best: tokens alive)
@@ -205,15 +208,18 @@ def viterbi_tabular(lexhmm: LexiconHMM, obs) -> DecodeResult:
 # --- n-best ----------------------------------------------------------------
 
 
-def _reach(lexhmm: LexiconHMM) -> tuple[list, list]:
-    """(d, e): d[j] is the first frame (from 0) at which state j can hold a
-    token and e[j] the fewest frames from j to an exit state, math.inf for
-    none; both follow the graph's arcs, whatever their scores.
+def _reach(lexhmm: LexiconHMM) -> tuple[list, list, list]:
+    """(d, e, succ): d[j] is the first frame (from 0) at which state j can
+    hold a token, e[j] the fewest frames from j to an exit state, math.inf
+    for none, and succ[i] the states whose preds name i; all three follow
+    the graph's arcs, whatever their scores, math.inf ones and self-loops
+    included.
 
     One forward and one backward pass over the states, which are numbered
-    in topological order.  Each list has a trailing START slot, as tokens
-    do: d's holds -1, so a START-fed state gets d = 0, and e's takes the
-    backward pass's writes to START and is never read.
+    in topological order.  Each list is built with a trailing START slot,
+    as tokens have: d's holds -1, so a START-fed state gets d = 0, and e's
+    takes the backward pass's writes to START; d and e are returned without
+    theirs, and succ's lists the START-fed states.
     """
     preds = lexhmm.preds
     d = [INF] * len(preds) + [-1]
@@ -226,21 +232,23 @@ def _reach(lexhmm: LexiconHMM) -> tuple[list, list]:
     e = [INF] * (len(preds) + 1)
     for f, _dpph in lexhmm.finals:
         e[f] = 0
+    succ: list = [[] for _ in range(len(preds) + 1)]
     for j in range(len(preds) - 1, -1, -1):
         step = e[j] + 1
         for i, _w in preds[j]:
+            succ[i].append(j)
             if i != j and step < e[i]:
                 e[i] = step
-    return d[:-1], e[:-1]
+    return d[:-1], e[:-1], succ
 
 
-def _frames(lexhmm: LexiconHMM, n_frames: int) -> list:
-    """The states to merge at each of n_frames frames, as (state, preds)
-    pairs in state order: at frame t those with d(j) <= t <= T - 1 - e(j)
-    (see _reach)."""
+def _frames(lexhmm: LexiconHMM, d: list, e: list, n_frames: int) -> list:
+    """The states in the time window at each of n_frames frames, as
+    (state, preds) pairs in state order: at frame t those with
+    d(j) <= t <= T - 1 - e(j) (see _reach)."""
     preds = lexhmm.preds
     frames: list = [[] for _ in range(n_frames)]
-    for j, (dj, ej) in enumerate(zip(*_reach(lexhmm))):
+    for j, (dj, ej) in enumerate(zip(d, e)):
         if dj + ej < n_frames:  # else no path through j fits in T, or none exists
             entry = (j, preds[j])
             for t in range(dj, n_frames - ej):
@@ -287,12 +295,14 @@ def _nbest(lexhmm: LexiconHMM, obs, n: int, merge_state) -> DecodeResult:
     its predecessors' lists in prev, keeping one token per pph (token &
     mask), and adds its work to res's counters.
 
-    Only the states that can lie on a path ending at an exit state at the
-    last frame are merged: at frame t of T, those with d(j) <= t <=
-    T - 1 - e(j) (see _frames).  Every other state gets an empty list.  A
-    state outside the window before d(j) holds no token anyway, and one
-    past T - 1 - e(j) feeds only states that are past theirs, so each
-    merged state reads the lists a full relaxation would give it.
+    Only the live states are merged.  At frame t of T these are the
+    successors of the states that hold a token after frame t - 1 (START at
+    frame 0) that can still reach an exit state by the last frame,
+    e(j) <= T - 1 - t (see _reach); every other state gets an empty list.
+    A state past T - 1 - e(j) feeds only states past theirs, so each live
+    state reads the lists a full relaxation would give it.  A state left
+    out would merge only empty lists, which counts nothing, so the counters
+    are those of merging every state with d(j) <= t <= T - 1 - e(j).
 
     Below n = W the merged lists are then cut by an exact completion
     bound.  A backward pass first gives B = back[t][j], the best completion
@@ -319,28 +329,35 @@ def _nbest(lexhmm: LexiconHMM, obs, n: int, merge_state) -> DecodeResult:
         return viterbi_inplace(lexhmm, obs)
     res = DecodeResult()
     mask = (1 << lexhmm.pph_bits) - 1
+    preds = lexhmm.preds
     cols = _columns(lexhmm, obs)
-    frames = _frames(lexhmm, len(cols))
+    d, e, succ = _reach(lexhmm)
     bounded = n < lexhmm.automaton.word_count
-    back = _completions(lexhmm, cols, frames) if bounded else [None] * len(cols)
+    if bounded:
+        back = _completions(lexhmm, cols, _frames(lexhmm, d, e, len(cols)))
+    else:
+        back = [None] * len(cols)
     top: list = []  # the n best completions seen, one per pph
     # START (-1) reads the trailing list: one token for the first frame only.
-    prev: list = [()] * len(lexhmm.preds) + [[0]]
+    prev: list = [()] * len(preds) + [[0]]
+    holders = [START]  # the states whose lists feed the next frame
     held = 0  # tokens in prev, START's left out
-    for col, frame, after in zip(cols, frames, back):
+    for left, col, after in zip(range(len(cols) - 1, -1, -1), cols, back):
+        live = {j for i in holders for j in succ[i] if e[j] <= left}
         cur: list = [()] * len(prev)
-        for j, p in frame:
-            cur[j] = merge_state(prev, p, col[j], n, mask, res)
+        for j in live:
+            cur[j] = merge_state(prev, preds[j], col[j], n, mask, res)
         if bounded:
-            top = _top_n(top + [cur[j][0] + after[j] for j, _p in frame
+            top = _top_n(top + [cur[j][0] + after[j] for j in live
                                 if cur[j] and after[j] != INF], n, mask)
             if len(top) == n:
                 bound = top[-1]
-                for j, _p in frame:
+                for j in live:
                     if cur[j]:
                         del cur[j][bisect_right(cur[j], bound - after[j]):]
+        holders = [j for j in live if cur[j]]
         prev = cur
-        now = sum(len(cur[j]) for j, _p in frame)
+        now = sum(len(cur[j]) for j in holders)
         res.token_slots = max(res.token_slots, held + now)  # both frames alive
         held = now
     res.ranking = _ranking(lexhmm, _top_n(

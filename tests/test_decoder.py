@@ -383,11 +383,14 @@ def test_reach_is_exact_on_the_toy_dawg(toy_annotated, states):
     cfg = onehot_config(states=states)
     lexhmm = expand(dawg, inc, make_letter_hmms("abcd", cfg), cfg)
     first = {}
-    d, e = _reach(lexhmm)
+    d, e, succ = _reach(lexhmm)
     for j, node in enumerate(lexhmm.state_node):
         k = j - first.setdefault(node, j)  # the state's place in its letter
         before, after = letters[node]
         assert (d[j], e[j]) == (states * before + k, states * after + states - 1 - k)
+    # succ inverts preds, START's slot last as in the token lists.
+    arcs = sorted((i % len(succ), j) for j, p in enumerate(lexhmm.preds) for i, _w in p)
+    assert arcs == sorted((i, j) for i, s in enumerate(succ) for j in s)
 
 
 def _full_nbest(lexhmm, obs, n, merge_state):
@@ -404,6 +407,40 @@ def _full_nbest(lexhmm, obs, n, merge_state):
         res.token_slots = max(res.token_slots, held + now)
         held = now
         prev.append([])
+    res.ranking = _ranking(lexhmm, _top_n(
+        [k + dpph for f, dpph in lexhmm.finals for k in prev[f]], n, mask))
+    return res
+
+
+def _windowed_nbest(lexhmm, obs, n, merge_state):
+    """_nbest with every state in the time window merged at every frame,
+    holding a token or not: the reference the live set must match,
+    counters included."""
+    res = DecodeResult()
+    mask = (1 << lexhmm.pph_bits) - 1
+    cols = _columns(lexhmm, obs)
+    d, e, _succ = _reach(lexhmm)
+    frames = _frames(lexhmm, d, e, len(cols))
+    bounded = n < lexhmm.automaton.word_count
+    back = _completions(lexhmm, cols, frames) if bounded else [None] * len(cols)
+    top = []
+    prev = [()] * len(lexhmm.preds) + [[0]]
+    held = 0
+    for col, frame, after in zip(cols, frames, back):
+        cur = [()] * len(prev)
+        for j, p in frame:
+            cur[j] = merge_state(prev, p, col[j], n, mask, res)
+        if bounded:
+            top = _top_n(top + [cur[j][0] + after[j] for j, _p in frame
+                                if cur[j] and after[j] != math.inf], n, mask)
+            if len(top) == n:
+                for j, _p in frame:
+                    if cur[j]:
+                        del cur[j][bisect_right(cur[j], top[-1] - after[j]):]
+        prev = cur
+        now = sum(len(cur[j]) for j, _p in frame)
+        res.token_slots = max(res.token_slots, held + now)
+        held = now
     res.ranking = _ranking(lexhmm, _top_n(
         [k + dpph for f, dpph in lexhmm.finals for k in prev[f]], n, mask))
     return res
@@ -468,6 +505,46 @@ def test_completion_bound_keeps_rankings_and_cuts_work(case, data):
                 assert getattr(bounded, name) <= getattr(full, name), name
 
 
+@settings(max_examples=200, deadline=None)
+@given(_small_lexicon_cases(self_loops=(0.0, 0.3, 0.5), peaks=(1 / 3, 0.7, 1.0)), st.data())
+def test_live_set_does_the_work_of_the_whole_window(case, data):
+    # A windowed state outside the live set has no predecessor holding a
+    # token, so merging it reads nothing and counts nothing: the live set
+    # gives the same ranking and exactly the same counters, below n = W
+    # (bounded) and at n = W.
+    lex, hmms, cfg, obs = case
+    w = lex.word_count
+    n = data.draw(st.sampled_from(sorted({2, 3, w - 1, w} & set(range(2, w + 1)))))
+    for auto in (build_trie(lex), build_dawg(lex)):
+        lexhmm = _lexhmm(auto, hmms, cfg)
+        for merge in (_merge_naive, _merge_improved):
+            assert _nbest(lexhmm, obs, n, merge) == _windowed_nbest(lexhmm, obs, n, merge)
+
+
+@pytest.mark.parametrize("merge", [_merge_naive, _merge_improved], ids=["naive", "improved"])
+def test_tokens_dead_mid_sequence_leave_later_frames_empty(toy_lexhmm_onehot, merge):
+    # One-hot emissions and no toy word has 'cb', so every token dies at
+    # frame 2 of 'bcbab' (naive still counts the candidates a dead emission
+    # kills).  No state is live after it: frames 3 and 4 merge nothing and
+    # the ranking is empty.
+    lexhmm, _cfg, _hmms = toy_lexhmm_onehot
+    trailer = {_merge_naive: "# ops=9 merges=9 token_slots=2 emission_adds=9\n",
+               _merge_improved: "# ops=9 merges=9 token_slots=2 emission_adds=2\n"}[merge]
+    for n in (2, lexhmm.automaton.word_count):
+        frames = []  # the prev list each frame's merges read
+
+        def counting(prev, preds_j, e, size, mask, res):
+            if not frames or prev is not frames[-1]:
+                frames.append(prev)
+            return merge(prev, preds_j, e, size, mask, res)
+
+        result = _nbest(lexhmm, list("bcbab"), n, counting)
+        assert len(frames) == 3
+        assert format_result(result) == trailer
+        empty = _nbest(lexhmm, [], n, merge)
+        assert format_result(empty) == "# ops=0 merges=0 token_slots=0 emission_adds=0\n"
+
+
 def test_forward_and_backward_passes_meet_at_the_best_final_token():
     # A token k at state j after frame t plus back[t][j] is the best final
     # token of the paths through k.  Every complete path holds one windowed
@@ -476,7 +553,8 @@ def test_forward_and_backward_passes_meet_at_the_best_final_token():
     for seed in range(30):
         _lex, lexhmm, _hmms, _cfg, obs = _instance(seed + 3000)
         cols = _columns(lexhmm, obs)
-        frames = _frames(lexhmm, len(cols))
+        d, e, _succ = _reach(lexhmm)
+        frames = _frames(lexhmm, d, e, len(cols))
         back = _completions(lexhmm, cols, frames)
         tokens = _tokens(lexhmm.n_states)
         met = []
