@@ -6,8 +6,13 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import os
+import signal
 import sys
-from itertools import chain
+import threading
+from bisect import bisect_left
+from functools import partial
+from itertools import accumulate, chain
 
 from .automaton import (
     AutomatonError,
@@ -123,6 +128,101 @@ def _nbest_arg(text: str):
         raise argparse.ArgumentTypeError(f"expected an integer or 'all', not {text!r}") from None
 
 
+def _decode_entries(decode, entries, write) -> None:
+    """Write each sequence's result block, or an `# error:` line for a
+    sequence the decoder rejects."""
+    for symbols, _truth in entries:
+        try:
+            result = decode(symbols)
+        except DecodeError as exc:
+            write(f"# error: {exc}\n")
+            continue
+        write(format_result(result))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or 1 where it cannot fork safely: no
+    os.fork or os.sched_getaffinity, or another thread running."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _shares(entries: list, k: int) -> list:
+    """entries cut into k contiguous non-empty runs of near-equal frame
+    count: a sequence goes to the share its middle frame falls in."""
+    lengths = [len(symbols) for symbols, _truth in entries]
+    middles = [end - length / 2 for end, length in zip(accumulate(lengths), lengths)]
+    total = sum(lengths)
+    cuts = [0]
+    for i in range(1, k):
+        cut = bisect_left(middles, total * i / k)
+        cuts.append(min(max(cut, cuts[-1] + 1), len(entries) - k + i))
+    cuts.append(len(entries))
+    return [entries[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _fork_share(decode, share, children: dict):
+    """Fork a child that writes share's decode text to a pipe; record it in
+    children (pid -> read end) and return its pid, or None when no child
+    could be started."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        # os._exit leaves without flushing the sys.stdout this child inherited
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "w", encoding="utf-8", newline="") as pipe:
+                _decode_entries(decode, share, pipe.write)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)  # so a later child does not hold this pipe open
+    children[pid] = read_fd
+    return pid
+
+
+def _reap(pid: int, children: dict) -> bool:
+    """Close child pid's pipe and wait for it: whether it exited with 0."""
+    os.close(children.pop(pid))
+    return os.waitpid(pid, 0)[1] == 0
+
+
+def _fan_out(decode, shares: list) -> None:
+    """Decode shares[1:] in forked children while this process decodes
+    shares[0], then write their text after it in share order.  A child that
+    does not exit with 0 has its share decoded here instead, so a failure
+    looks as it would in one process."""
+    children = {}  # pid -> read end of its pipe, for each child not yet reaped
+    try:
+        pids = [_fork_share(decode, share, children) for share in shares[1:]]
+        _decode_entries(decode, shares[0], sys.stdout.write)
+        for share, pid in zip(shares[1:], pids):
+            if pid is not None:
+                with open(children[pid], encoding="utf-8", newline="", closefd=False) as pipe:
+                    text = pipe.read()
+                if _reap(pid, children):
+                    sys.stdout.write(text)
+                    continue
+            _decode_entries(decode, share, sys.stdout.write)
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid in list(children):
+            _reap(pid, children)
+
+
 def cmd_decode(args) -> int:
     if args.nbest != "all":
         _at_least(1, args, "nbest")
@@ -134,16 +234,16 @@ def cmd_decode(args) -> int:
     letter_hmms = make_letter_hmms(auto.letters, config)
     lexhmm = expand(auto, increments, letter_hmms, config)
     entries = read_observations(_read(args.obs))
-    for symbols, _truth in entries:
-        try:
-            if args.variant in VARIANTS:
-                result = VARIANTS[args.variant](lexhmm, symbols)
-            else:
-                result = NBEST_VARIANTS[args.variant](lexhmm, symbols, n)
-        except DecodeError as exc:
-            print(f"# error: {exc}")
-            continue
-        sys.stdout.write(format_result(result))
+    if args.variant in VARIANTS:
+        decode = partial(VARIANTS[args.variant], lexhmm)
+    else:
+        decode = partial(NBEST_VARIANTS[args.variant], lexhmm, n=n)
+    # Sequences are independent: with k CPUs, k processes decode a share each.
+    k = min(_usable_cpus(), len(entries))
+    if k < 2:
+        _decode_entries(decode, entries, sys.stdout.write)
+    else:
+        _fan_out(decode, _shares(entries, k))
     return 0
 
 

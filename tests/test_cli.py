@@ -3,6 +3,8 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -11,8 +13,9 @@ from hypothesis import strategies as st
 
 from flcva.automaton import Lexicon, build_dawg, build_trie, minimize, read_wordlist, serialize_automaton
 from flcva.bench import generate_sequences
-from flcva.cli import _BLOCK, main
-from flcva.decode import DecodeResult, format_result
+from flcva.cli import _BLOCK, _shares, main
+from flcva.decode import NBEST_VARIANTS, VARIANTS, DecodeResult, format_result
+from flcva.hmm import read_observations
 from flcva.hmm import HmmConfig, format_config, format_observations, make_letter_hmms, parse_config
 from flcva.oracle import nbest_exhaustive
 from flcva.pph import annotate_increments, compute_suff
@@ -630,3 +633,137 @@ def test_deep_word_builds_and_decodes(tmp_path, capsys):
     assert main(["decode", str(auto), str(config), str(obs)]) == 0
     # "ab" is a proper prefix of word, so it comes after it in path order
     assert capsys.readouterr().out.startswith(f"1 {word} 0 ")
+
+
+# Three sequences a side of the two-share cut, an unknown symbol on each side;
+# with three shares the cuts fall after "x y" and after "b q".
+FAN_OUT_OBS = "b c d\nx y\na b\nb q\nc\nb b c\n"
+FAN_OUT_OPTIONS = [
+    *(["--variant", v] for v in VARIANTS),
+    *(["--variant", v, "--nbest", n] for v in NBEST_VARIANTS for n in ("1", "2", "all")),
+]
+
+
+@pytest.fixture
+def fan_out_decode(toy_paths, capsys, monkeypatch):
+    """decode(cpus, *options): the stdout of a decode of FAN_OUT_OBS with
+    os.sched_getaffinity reporting `cpus` CPUs, after which no child of this
+    process may be left."""
+    wordlist, _config, tmp = toy_paths
+    config, auto, obs = tmp / "golden.cfg", tmp / "dawg.auto", tmp / "obs.txt"
+    config.write_text(format_config(HmmConfig(
+        alphabet=tuple("abcd"), states_per_letter=2, self_loop_prob=0.3, emission_peak=0.7)))
+    assert main(["build", str(wordlist), str(auto), "--dawg"]) == 0
+    obs.write_text(FAN_OUT_OBS)
+    capsys.readouterr()
+
+    def decode(cpus, *options):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        try:
+            assert main(["decode", str(auto), str(config), str(obs), *options]) == 0
+        finally:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        return capsys.readouterr().out
+
+    return decode
+
+
+def _count_forks(monkeypatch) -> list:
+    """Patch os.fork to record each call in the returned list."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def test_fan_out_shares_put_an_error_on_each_side_of_a_cut():
+    entries = read_observations(FAN_OUT_OBS)
+    texts = [[" ".join(symbols) for symbols, _ in share] for share in _shares(entries, 2)]
+    assert texts == [["b c d", "x y", "a b"], ["b q", "c", "b b c"]]
+    texts = [[" ".join(symbols) for symbols, _ in share] for share in _shares(entries, 3)]
+    assert texts == [["b c d", "x y"], ["a b", "b q"], ["c", "b b c"]]
+
+
+@given(st.lists(st.integers(0, 20), min_size=1, max_size=12), st.integers(1, 12))
+def test_fan_out_shares_cover_the_file_in_order_property(lengths, k):
+    entries = [(["a"] * length, None) for length in lengths]
+    k = min(k, len(entries))
+    shares = _shares(entries, k)
+    assert len(shares) == k and all(shares)
+    assert [entry for share in shares for entry in share] == entries
+
+
+@pytest.mark.parametrize("options", FAN_OUT_OPTIONS, ids=" ".join)
+def test_fan_out_output_is_the_one_process_output(fan_out_decode, monkeypatch, options):
+    alone = fan_out_decode(1, *options)
+    assert alone.count("# error:") == 2
+    forks = _count_forks(monkeypatch)
+    for cpus in (2, 3, 8):
+        assert fan_out_decode(cpus, *options) == alone
+    assert len(forks) == 1 + 2 + 5  # one child per share after the first
+
+
+def test_decode_forks_only_with_two_cpus_and_two_sequences(toy_paths, fan_out_decode, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    alone = fan_out_decode(1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert fan_out_decode(1) == alone
+    tmp = toy_paths[2]
+    for text in ("b c d\n", ""):  # one sequence, none
+        (tmp / "obs.txt").write_text(text)
+        assert fan_out_decode(4) == fan_out_decode(1)
+    (tmp / "obs.txt").write_text(FAN_OUT_OBS)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:  # a fork beside a running thread could deadlock the child
+        assert fan_out_decode(4) == alone
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("variant", ["inplace", "nbest-improved"])
+def test_failed_child_share_is_decoded_by_the_parent(fan_out_decode, monkeypatch, variant):
+    alone = fan_out_decode(1, "--variant", variant)
+    parent, table = os.getpid(), VARIANTS if variant in VARIANTS else NBEST_VARIANTS
+    decoder = table[variant]
+
+    def parent_only(*args, **kwargs):
+        if os.getpid() != parent:
+            raise RuntimeError("child")
+        return decoder(*args, **kwargs)
+
+    monkeypatch.setitem(table, variant, parent_only)
+    forks = _count_forks(monkeypatch)
+    assert fan_out_decode(3, "--variant", variant) == alone
+    assert len(forks) == 2
+
+
+def test_failed_fork_share_is_decoded_by_the_parent(fan_out_decode, monkeypatch):
+    def no_process():
+        raise BlockingIOError("fork")
+
+    alone = fan_out_decode(1)
+    monkeypatch.setattr(os, "fork", no_process)
+    assert fan_out_decode(2) == alone
+
+
+def test_exception_in_parent_share_kills_and_reaps_the_child(fan_out_decode, monkeypatch):
+    parent, decoder = os.getpid(), VARIANTS["inplace"]
+
+    def child_hangs(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise RuntimeError("parent")
+
+    monkeypatch.setitem(VARIANTS, "inplace", child_hangs)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="parent"):
+        fan_out_decode(2)
+    assert time.perf_counter() - start < 30
+    monkeypatch.setitem(VARIANTS, "inplace", decoder)
+    assert fan_out_decode(2).count("# error:") == 2
