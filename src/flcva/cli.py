@@ -10,9 +10,8 @@ import os
 import signal
 import sys
 import threading
-from bisect import bisect_left
 from functools import partial
-from itertools import accumulate, chain
+from itertools import chain
 
 from .automaton import (
     AutomatonError,
@@ -140,6 +139,16 @@ def _decode_entries(decode, entries, write) -> None:
         write(format_result(result))
 
 
+# Decode work is estimated as frames x predecessor entries (LexiconHMM.n_arcs).
+# On a 2-vCPU VM one fork, pipe and reap took about 1.3 ms, a decoder took
+# 47-115 ns a unit on the benchmark lexicons (more on smaller ones), and two
+# processes beat one from about 20,000 units a share.  A child is forked only
+# for a share of at least this much work: 2.8 ms at the fastest rate measured.
+_MIN_SHARE_WORK = 60_000
+# Processes a decode may use: the widest split that was measured.
+_MAX_PROCESSES = 2
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on, or 1 where it cannot fork safely: no
     os.fork or os.sched_getaffinity, or another thread running."""
@@ -149,17 +158,10 @@ def _usable_cpus() -> int:
 
 
 def _shares(entries: list, k: int) -> list:
-    """entries cut into k contiguous non-empty runs of near-equal frame
-    count: a sequence goes to the share its middle frame falls in."""
-    lengths = [len(symbols) for symbols, _truth in entries]
-    middles = [end - length / 2 for end, length in zip(accumulate(lengths), lengths)]
-    total = sum(lengths)
-    cuts = [0]
-    for i in range(1, k):
-        cut = bisect_left(middles, total * i / k)
-        cuts.append(min(max(cut, cuts[-1] + 1), len(entries) - k + i))
-    cuts.append(len(entries))
-    return [entries[a:b] for a, b in zip(cuts, cuts[1:])]
+    """entries cut into k contiguous runs of near-equal sequence count,
+    none empty for k <= len(entries)."""
+    n = len(entries)
+    return [entries[i * n // k:(i + 1) * n // k] for i in range(k)]
 
 
 def _fork_share(decode, share, children: dict):
@@ -181,8 +183,11 @@ def _fork_share(decode, share, children: dict):
         status = 1
         try:
             os.close(read_fd)
+            text = []
+            _decode_entries(decode, share, text.append)
+            # written once decoded: a full pipe then cannot stall the decode
             with open(write_fd, "w", encoding="utf-8", newline="") as pipe:
-                _decode_entries(decode, share, pipe.write)
+                pipe.writelines(text)
             status = 0
         finally:
             os._exit(status)
@@ -192,9 +197,12 @@ def _fork_share(decode, share, children: dict):
 
 
 def _reap(pid: int, children: dict) -> bool:
-    """Close child pid's pipe and wait for it: whether it exited with 0."""
+    """Wait for child pid, then close its pipe: whether it exited with 0.
+    Until the wait returns, the child stays in children, so an exception
+    raised during the wait still finds it to kill and reap."""
+    status = os.waitpid(pid, 0)[1]
     os.close(children.pop(pid))
-    return os.waitpid(pid, 0)[1] == 0
+    return status == 0
 
 
 def _fan_out(decode, shares: list) -> None:
@@ -238,8 +246,10 @@ def cmd_decode(args) -> int:
         decode = partial(VARIANTS[args.variant], lexhmm)
     else:
         decode = partial(NBEST_VARIANTS[args.variant], lexhmm, n=n)
-    # Sequences are independent: with k CPUs, k processes decode a share each.
-    k = min(_usable_cpus(), len(entries))
+    # Sequences are independent: k processes decode a share each, where every
+    # share is worth a fork.
+    work = sum(len(symbols) for symbols, _truth in entries) * lexhmm.n_arcs
+    k = min(_usable_cpus(), len(entries), _MAX_PROCESSES, work // _MIN_SHARE_WORK)
     if k < 2:
         _decode_entries(decode, entries, sys.stdout.write)
     else:

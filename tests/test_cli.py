@@ -11,12 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flcva.automaton import Lexicon, build_dawg, build_trie, minimize, read_wordlist, serialize_automaton
+from flcva import cli
+from flcva.automaton import (
+    Lexicon, build_dawg, build_trie, minimize, parse_automaton, read_wordlist, serialize_automaton,
+)
 from flcva.bench import generate_sequences
 from flcva.cli import _BLOCK, _shares, main
 from flcva.decode import NBEST_VARIANTS, VARIANTS, DecodeResult, format_result
 from flcva.hmm import read_observations
 from flcva.hmm import HmmConfig, format_config, format_observations, make_letter_hmms, parse_config
+from flcva.lexhmm import expand
 from flcva.oracle import nbest_exhaustive
 from flcva.pph import annotate_increments, compute_suff
 from flcva.synth import synthetic_lexicon
@@ -648,7 +652,9 @@ FAN_OUT_OPTIONS = [
 def fan_out_decode(toy_paths, capsys, monkeypatch):
     """decode(cpus, *options): the stdout of a decode of FAN_OUT_OBS with
     os.sched_getaffinity reporting `cpus` CPUs, after which no child of this
-    process may be left."""
+    process may be left.  The toy file is far below the work a fork is
+    worth, so every share is taken to be worth one unless a test sets
+    cli._MIN_SHARE_WORK itself."""
     wordlist, _config, tmp = toy_paths
     config, auto, obs = tmp / "golden.cfg", tmp / "dawg.auto", tmp / "obs.txt"
     config.write_text(format_config(HmmConfig(
@@ -656,6 +662,7 @@ def fan_out_decode(toy_paths, capsys, monkeypatch):
     assert main(["build", str(wordlist), str(auto), "--dawg"]) == 0
     obs.write_text(FAN_OUT_OBS)
     capsys.readouterr()
+    monkeypatch.setattr(cli, "_MIN_SHARE_WORK", 1)
 
     def decode(cpus, *options):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -676,6 +683,13 @@ def _count_forks(monkeypatch) -> list:
     return forks
 
 
+def _no_fork(monkeypatch) -> None:
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
 def test_fan_out_shares_put_an_error_on_each_side_of_a_cut():
     entries = read_observations(FAN_OUT_OBS)
     texts = [[" ".join(symbols) for symbols, _ in share] for share in _shares(entries, 2)]
@@ -684,31 +698,30 @@ def test_fan_out_shares_put_an_error_on_each_side_of_a_cut():
     assert texts == [["b c d", "x y"], ["a b", "b q"], ["c", "b b c"]]
 
 
-@given(st.lists(st.integers(0, 20), min_size=1, max_size=12), st.integers(1, 12))
-def test_fan_out_shares_cover_the_file_in_order_property(lengths, k):
-    entries = [(["a"] * length, None) for length in lengths]
-    k = min(k, len(entries))
-    shares = _shares(entries, k)
-    assert len(shares) == k and all(shares)
-    assert [entry for share in shares for entry in share] == entries
-
-
 @pytest.mark.parametrize("options", FAN_OUT_OPTIONS, ids=" ".join)
 def test_fan_out_output_is_the_one_process_output(fan_out_decode, monkeypatch, options):
     alone = fan_out_decode(1, *options)
     assert alone.count("# error:") == 2
     forks = _count_forks(monkeypatch)
-    for cpus in (2, 3, 8):
+    for cpus in (2, 8):
         assert fan_out_decode(cpus, *options) == alone
-    assert len(forks) == 1 + 2 + 5  # one child per share after the first
+    assert len(forks) == 2  # at most cli._MAX_PROCESSES processes
+    monkeypatch.setattr(cli, "_MAX_PROCESSES", 8)
+    for cpus in (3, 8):
+        assert fan_out_decode(cpus, *options) == alone
+    assert len(forks) == 2 + 2 + 5  # one child per share after the first
+
+
+def test_fan_out_child_output_past_the_pipe_buffer(toy_paths, fan_out_decode):
+    (toy_paths[2] / "obs.txt").write_text(FAN_OUT_OBS * 1000)
+    alone = fan_out_decode(1, "--variant", "nbest-naive", "--nbest", "all")
+    assert len(alone) > 4 * 65536
+    assert fan_out_decode(2, "--variant", "nbest-naive", "--nbest", "all") == alone
 
 
 def test_decode_forks_only_with_two_cpus_and_two_sequences(toy_paths, fan_out_decode, monkeypatch):
-    def no_fork():
-        raise AssertionError("forked")
-
     alone = fan_out_decode(1)
-    monkeypatch.setattr(os, "fork", no_fork)
+    _no_fork(monkeypatch)
     assert fan_out_decode(1) == alone
     tmp = toy_paths[2]
     for text in ("b c d\n", ""):  # one sequence, none
@@ -726,6 +739,27 @@ def test_decode_forks_only_with_two_cpus_and_two_sequences(toy_paths, fan_out_de
     assert not thread.is_alive()
 
 
+def test_decode_forks_only_for_shares_worth_a_fork(toy_paths, fan_out_decode, monkeypatch):
+    tmp = toy_paths[2]
+    auto, _, increments = parse_automaton((tmp / "dawg.auto").read_text())
+    config = parse_config((tmp / "golden.cfg").read_text())
+    lexhmm = expand(auto, increments, make_letter_hmms(auto.letters, config), config)
+    work = sum(len(symbols) for symbols, _ in read_observations(FAN_OUT_OBS)) * lexhmm.n_arcs
+    alone = fan_out_decode(1)
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(cli, "_MIN_SHARE_WORK", work // 2)
+    assert fan_out_decode(2) == alone
+    assert len(forks) == 1
+    _no_fork(monkeypatch)
+    monkeypatch.setattr(cli, "_MIN_SHARE_WORK", work // 2 + 1)
+    assert fan_out_decode(2) == alone
+    monkeypatch.undo()  # the real bound: a toy file is never worth a fork
+    _no_fork(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    (tmp / "obs.txt").write_text(FAN_OUT_OBS * 20)
+    assert main(["decode", str(tmp / "dawg.auto"), str(tmp / "golden.cfg"), str(tmp / "obs.txt")]) == 0
+
+
 @pytest.mark.parametrize("variant", ["inplace", "nbest-improved"])
 def test_failed_child_share_is_decoded_by_the_parent(fan_out_decode, monkeypatch, variant):
     alone = fan_out_decode(1, "--variant", variant)
@@ -739,8 +773,8 @@ def test_failed_child_share_is_decoded_by_the_parent(fan_out_decode, monkeypatch
 
     monkeypatch.setitem(table, variant, parent_only)
     forks = _count_forks(monkeypatch)
-    assert fan_out_decode(3, "--variant", variant) == alone
-    assert len(forks) == 2
+    assert fan_out_decode(2, "--variant", variant) == alone
+    assert len(forks) == 1
 
 
 def test_failed_fork_share_is_decoded_by_the_parent(fan_out_decode, monkeypatch):
@@ -767,3 +801,18 @@ def test_exception_in_parent_share_kills_and_reaps_the_child(fan_out_decode, mon
     assert time.perf_counter() - start < 30
     monkeypatch.setitem(VARIANTS, "inplace", decoder)
     assert fan_out_decode(2).count("# error:") == 2
+
+
+def test_interrupted_wait_still_reaps_the_child(fan_out_decode, monkeypatch):
+    waitpid, waits = os.waitpid, []
+
+    def interrupted_once(pid, options):
+        waits.append(pid)
+        if len(waits) == 1:
+            raise KeyboardInterrupt
+        return waitpid(pid, options)
+
+    monkeypatch.setattr(os, "waitpid", interrupted_once)
+    with pytest.raises(KeyboardInterrupt):
+        fan_out_decode(2)
+    assert waits[0] == waits[1] > 0  # the child's wait is retried in the cleanup
