@@ -219,7 +219,9 @@ def _reach(lexhmm: LexiconHMM) -> tuple[list, list, list]:
     in topological order.  Each list is built with a trailing START slot,
     as tokens have: d's holds -1, so a START-fed state gets d = 0, and e's
     takes the backward pass's writes to START; d and e are returned without
-    theirs, and succ's lists the START-fed states.
+    theirs, and succ's lists the START-fed states.  The tables depend on the
+    graph only, so decoders read them once per HMM, as LexiconHMM.reach, and
+    never change them.
     """
     preds = lexhmm.preds
     d = [INF] * len(preds) + [-1]
@@ -331,7 +333,7 @@ def _nbest(lexhmm: LexiconHMM, obs, n: int, merge_state) -> DecodeResult:
     mask = (1 << lexhmm.pph_bits) - 1
     preds = lexhmm.preds
     cols = _columns(lexhmm, obs)
-    d, e, succ = _reach(lexhmm)
+    d, e, succ = lexhmm.reach
     bounded = n < lexhmm.automaton.word_count
     if bounded:
         back = _completions(lexhmm, cols, _frames(lexhmm, d, e, len(cols)))

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .automaton import NodeAutomaton
@@ -39,7 +40,9 @@ class LexiconHMM:
     state j's packed emission cost (pph 0) for symbol s, so a frame reads
     one column emissions[s]; finals holds (exit state, sink-arc pph
     increment).
-    n_arcs is the total length of the preds lists.
+    n_arcs is the total length of the preds lists.  reach, the n-best time
+    window's tables, is computed on first use and is not a field, so == still
+    compares the fields only.
     """
 
     automaton: NodeAutomaton
@@ -54,6 +57,14 @@ class LexiconHMM:
     @property
     def n_states(self) -> int:
         return len(self.state_node)
+
+    @cached_property
+    def reach(self) -> tuple[list, list, list]:
+        """decode._reach(self), computed once per HMM, by the first n-best
+        decode, and shared read-only by every later one."""
+        from .decode import _reach  # decode imports this module
+
+        return _reach(self)
 
 
 def expand(

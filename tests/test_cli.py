@@ -1,3 +1,4 @@
+import argparse
 import os
 import shlex
 import subprocess
@@ -56,6 +57,44 @@ def test_build_trie_prints_stats(toy_paths, capsys):
     line = capsys.readouterr().out.strip()
     assert line.startswith("N=10 ")
     assert "W=6" in line
+
+
+def test_main_can_be_called_again_in_one_process(toy_paths, capsys, monkeypatch):
+    # One parser serves every call: a decode after a usage error or an input
+    # error prints the bytes it printed the first time, and so do the errors.
+    wordlist, config, tmp = toy_paths
+    auto, obs = tmp / "dawg.auto", tmp / "obs.txt"
+    assert main(["build", str(wordlist), str(auto), "--dawg"]) == 0
+    obs.write_text("b c d\nc\nx y\n")
+    capsys.readouterr()
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    decode = ["decode", str(auto), str(config), str(obs)]
+    errors = [decode + ["--variant", "bogus"], decode + ["--nbest", "2"]]
+    calls = [call for v in [*VARIANTS, *NBEST_VARIANTS]
+             for call in (decode + ["--variant", v, "--nbest", "1" if v in VARIANTS else "2"], *errors)]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        return code, capsys.readouterr()
+
+    first = {}
+    for argv in calls * 2:
+        got = run(argv)
+        assert first.setdefault(tuple(argv), got) == got
+        assert got[0] == (2 if argv in errors else 0)
+    assert "usage: flcva decode" in first[tuple(errors[0])][1].err
+    assert first[tuple(errors[1])][1].err.startswith("error: --nbest 2 needs an n-best variant")
+    assert built.count("flcva") == 1
 
 
 def test_build_dawg_prints_stats(toy_paths, capsys):
@@ -758,6 +797,24 @@ def test_decode_forks_only_for_shares_worth_a_fork(toy_paths, fan_out_decode, mo
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     (tmp / "obs.txt").write_text(FAN_OUT_OBS * 20)
     assert main(["decode", str(tmp / "dawg.auto"), str(tmp / "golden.cfg"), str(tmp / "obs.txt")]) == 0
+
+
+@pytest.mark.parametrize("obs, options, forks", [
+    ("a\nb\n", ["--variant", "inplace"], 1),
+    ("a\nb\n", ["--variant", "nbest-naive", "--nbest", "1"], 1),
+    ("a\nb\n", ["--variant", "nbest-naive", "--nbest", "2"], 0),
+    ("a\nc a\n", ["--variant", "nbest-naive", "--nbest", "2"], 1),
+], ids=["inplace", "nbest-1", "nbest-2-short", "nbest-2-shortest-word"])
+def test_decode_estimate_skips_sequences_shorter_than_every_word(
+        toy_paths, fan_out_decode, monkeypatch, obs, options, forks):
+    # At two states a letter the shortest toy word, c, takes two frames.  The
+    # n-best time window leaves a one-frame sequence nothing to relax at
+    # n >= 2, while the 1-best step (n = 1 too) relaxes every state.
+    (toy_paths[2] / "obs.txt").write_text(obs)
+    alone = fan_out_decode(1, *options)
+    counted = _count_forks(monkeypatch)
+    assert fan_out_decode(2, *options) == alone
+    assert len(counted) == forks
 
 
 @pytest.mark.parametrize("variant", ["inplace", "nbest-improved"])

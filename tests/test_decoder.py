@@ -565,6 +565,42 @@ def test_forward_and_backward_passes_meet_at_the_best_final_token():
         assert met == best * len(obs), f"seed {seed}"
 
 
+def test_reach_tables_are_computed_once_per_lexicon_hmm(monkeypatch):
+    # Only n-best decodes read the tables; every one after the first reads
+    # the tables the first computed, and none changes them.
+    calls = []
+    monkeypatch.setattr("flcva.decode._reach", lambda lexhmm: calls.append(1) or _reach(lexhmm))
+    _lex, lexhmm, hmms, cfg, _obs = _instance(4)
+    seqs = [_instance(seed)[4] for seed in (4, 5, 6)]
+    for decode in (viterbi_tabular, viterbi_flipflop, viterbi_inplace):
+        for obs in seqs:
+            decode(lexhmm, obs)
+    assert not calls
+    for obs in seqs:
+        for decode in (nbest_naive, nbest_improved):
+            for n in (2, lexhmm.automaton.word_count):
+                decode(lexhmm, obs, n)
+    assert len(calls) == 1
+    assert lexhmm.reach == _reach(lexhmm)
+    # The tables are no field: an HMM that holds them equals one that does not.
+    assert lexhmm == _lexhmm(lexhmm.automaton, hmms, cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_lexicon_cases(), st.data())
+def test_shared_reach_tables_decode_like_fresh_ones(case, data):
+    lex, hmms, cfg, obs = case
+    frames = cfg.states_per_letter * max(map(len, lex.words)) + 2
+    seqs = [obs, *data.draw(st.lists(st.lists(st.sampled_from("abc"), max_size=frames), max_size=3))]
+    w = lex.word_count
+    n = data.draw(st.sampled_from(sorted({2, w - 1, w} & set(range(2, w + 1)))))
+    for auto in (build_trie(lex), build_dawg(lex)):
+        shared = _lexhmm(auto, hmms, cfg)
+        for decode in (nbest_naive, nbest_improved):
+            for seq in seqs:
+                assert decode(shared, seq, n) == decode(_lexhmm(auto, hmms, cfg), seq, n)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_small_lexicon_cases())
 def test_all_words_trie_and_dawg_do_the_same_work(case):
