@@ -249,17 +249,8 @@ def cmd_decode(args) -> int:
         decode = partial(NBEST_VARIANTS[args.variant], lexhmm, n=n)
     # Sequences are independent: k processes decode a share each, where every
     # share is worth a fork.
-    k = min(_usable_cpus(), len(entries), _MAX_PROCESSES)
-    if k >= 2:
-        # An n-best decode (n >= 2) relaxes only the states in its time window,
-        # so a sequence shorter than every word adds no work.  The reach tables
-        # are computed here once and inherited by the child.
-        shortest = 0
-        if n >= 2:
-            d = lexhmm.reach[0]
-            shortest = min(d[f] for f, _dpph in lexhmm.finals) + 1
-        work = sum(len(symbols) for symbols, _truth in entries if len(symbols) >= shortest)
-        k = min(k, work * lexhmm.n_arcs // _MIN_SHARE_WORK)
+    work = sum(len(symbols) for symbols, _truth in entries) * lexhmm.n_arcs
+    k = min(_usable_cpus(), len(entries), _MAX_PROCESSES, work // _MIN_SHARE_WORK)
     if k < 2:
         _decode_entries(decode, entries, sys.stdout.write)
     else:

@@ -208,46 +208,10 @@ def viterbi_tabular(lexhmm: LexiconHMM, obs) -> DecodeResult:
 # --- n-best ----------------------------------------------------------------
 
 
-def _reach(lexhmm: LexiconHMM) -> tuple[list, list, list]:
-    """(d, e, succ): d[j] is the first frame (from 0) at which state j can
-    hold a token, e[j] the fewest frames from j to an exit state, math.inf
-    for none, and succ[i] the states whose preds name i; all three follow
-    the graph's arcs, whatever their scores, math.inf ones and self-loops
-    included.
-
-    One forward and one backward pass over the states, which are numbered
-    in topological order.  Each list is built with a trailing START slot,
-    as tokens have: d's holds -1, so a START-fed state gets d = 0, and e's
-    takes the backward pass's writes to START; d and e are returned without
-    theirs, and succ's lists the START-fed states.  The tables depend on the
-    graph only, so decoders read them once per HMM, as LexiconHMM.reach, and
-    never change them.
-    """
-    preds = lexhmm.preds
-    d = [INF] * len(preds) + [-1]
-    for j, preds_j in enumerate(preds):
-        first = INF
-        for i, _w in preds_j:
-            if i != j and d[i] < first:
-                first = d[i]
-        d[j] = first + 1
-    e = [INF] * (len(preds) + 1)
-    for f, _dpph in lexhmm.finals:
-        e[f] = 0
-    succ: list = [[] for _ in range(len(preds) + 1)]
-    for j in range(len(preds) - 1, -1, -1):
-        step = e[j] + 1
-        for i, _w in preds[j]:
-            succ[i].append(j)
-            if i != j and step < e[i]:
-                e[i] = step
-    return d[:-1], e[:-1], succ
-
-
 def _frames(lexhmm: LexiconHMM, d: list, e: list, n_frames: int) -> list:
     """The states in the time window at each of n_frames frames, as
     (state, preds) pairs in state order: at frame t those with
-    d(j) <= t <= T - 1 - e(j) (see _reach)."""
+    d(j) <= t <= T - 1 - e(j) (see lexhmm.reach_tables)."""
     preds = lexhmm.preds
     frames: list = [[] for _ in range(n_frames)]
     for j, (dj, ej) in enumerate(zip(d, e)):
@@ -300,7 +264,8 @@ def _nbest(lexhmm: LexiconHMM, obs, n: int, merge_state) -> DecodeResult:
     Only the live states are merged.  At frame t of T these are the
     successors of the states that hold a token after frame t - 1 (START at
     frame 0) that can still reach an exit state by the last frame,
-    e(j) <= T - 1 - t (see _reach); every other state gets an empty list.
+    e(j) <= T - 1 - t (see lexhmm.reach_tables); every other state gets an
+    empty list.
     A state past T - 1 - e(j) feeds only states past theirs, so each live
     state reads the lists a full relaxation would give it.  A state left
     out would merge only empty lists, which counts nothing, so the counters

@@ -60,11 +60,45 @@ class LexiconHMM:
 
     @cached_property
     def reach(self) -> tuple[list, list, list]:
-        """decode._reach(self), computed once per HMM, by the first n-best
+        """reach_tables(self), computed once per HMM, by the first n-best
         decode, and shared read-only by every later one."""
-        from .decode import _reach  # decode imports this module
+        return reach_tables(self)
 
-        return _reach(self)
+
+def reach_tables(lexhmm: LexiconHMM) -> tuple[list, list, list]:
+    """(d, e, succ): d[j] is the first frame (from 0) at which state j can
+    hold a token, e[j] the fewest frames from j to an exit state, math.inf
+    for none, and succ[i] the states whose preds name i; all three follow
+    the graph's arcs, whatever their scores, math.inf ones and self-loops
+    included.
+
+    One forward and one backward pass over the states, which are numbered
+    in topological order.  Each list is built with a trailing START slot,
+    as tokens have: d's holds -1, so a START-fed state gets d = 0, and e's
+    takes the backward pass's writes to START; d and e are returned without
+    theirs, and succ's lists the START-fed states.  The tables depend on the
+    graph only, so decoders read them once per HMM, as LexiconHMM.reach, and
+    never change them.
+    """
+    preds = lexhmm.preds
+    d = [math.inf] * len(preds) + [-1]
+    for j, preds_j in enumerate(preds):
+        first = math.inf
+        for i, _w in preds_j:
+            if i != j and d[i] < first:
+                first = d[i]
+        d[j] = first + 1
+    e = [math.inf] * (len(preds) + 1)
+    for f, _dpph in lexhmm.finals:
+        e[f] = 0
+    succ: list = [[] for _ in range(len(preds) + 1)]
+    for j in range(len(preds) - 1, -1, -1):
+        step = e[j] + 1
+        for i, _w in preds[j]:
+            succ[i].append(j)
+            if i != j and step < e[i]:
+                e[i] = step
+    return d[:-1], e[:-1], succ
 
 
 def expand(

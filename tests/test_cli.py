@@ -799,24 +799,6 @@ def test_decode_forks_only_for_shares_worth_a_fork(toy_paths, fan_out_decode, mo
     assert main(["decode", str(tmp / "dawg.auto"), str(tmp / "golden.cfg"), str(tmp / "obs.txt")]) == 0
 
 
-@pytest.mark.parametrize("obs, options, forks", [
-    ("a\nb\n", ["--variant", "inplace"], 1),
-    ("a\nb\n", ["--variant", "nbest-naive", "--nbest", "1"], 1),
-    ("a\nb\n", ["--variant", "nbest-naive", "--nbest", "2"], 0),
-    ("a\nc a\n", ["--variant", "nbest-naive", "--nbest", "2"], 1),
-], ids=["inplace", "nbest-1", "nbest-2-short", "nbest-2-shortest-word"])
-def test_decode_estimate_skips_sequences_shorter_than_every_word(
-        toy_paths, fan_out_decode, monkeypatch, obs, options, forks):
-    # At two states a letter the shortest toy word, c, takes two frames.  The
-    # n-best time window leaves a one-frame sequence nothing to relax at
-    # n >= 2, while the 1-best step (n = 1 too) relaxes every state.
-    (toy_paths[2] / "obs.txt").write_text(obs)
-    alone = fan_out_decode(1, *options)
-    counted = _count_forks(monkeypatch)
-    assert fan_out_decode(2, *options) == alone
-    assert len(counted) == forks
-
-
 @pytest.mark.parametrize("variant", ["inplace", "nbest-improved"])
 def test_failed_child_share_is_decoded_by_the_parent(fan_out_decode, monkeypatch, variant):
     alone = fan_out_decode(1, "--variant", variant)

@@ -28,9 +28,10 @@ from flcva import (
 )
 from flcva.decode import (
     _best_final, _columns, _completions, _frames, _merge_improved, _merge_naive, _merge_ranks,
-    _nbest, _ranking, _reach, _step, _tokens, _top_n, _unpack,
+    _nbest, _ranking, _step, _tokens, _top_n, _unpack,
 )
 from flcva.hmm import LOG_QUANTUM, NEG_INF
+from flcva.lexhmm import reach_tables
 from flcva.pph import annotate_increments, compute_suff
 from flcva.synth import random_lexicon, synthetic_lexicon
 
@@ -383,7 +384,7 @@ def test_reach_is_exact_on_the_toy_dawg(toy_annotated, states):
     cfg = onehot_config(states=states)
     lexhmm = expand(dawg, inc, make_letter_hmms("abcd", cfg), cfg)
     first = {}
-    d, e, succ = _reach(lexhmm)
+    d, e, succ = reach_tables(lexhmm)
     for j, node in enumerate(lexhmm.state_node):
         k = j - first.setdefault(node, j)  # the state's place in its letter
         before, after = letters[node]
@@ -419,7 +420,7 @@ def _windowed_nbest(lexhmm, obs, n, merge_state):
     res = DecodeResult()
     mask = (1 << lexhmm.pph_bits) - 1
     cols = _columns(lexhmm, obs)
-    d, e, _succ = _reach(lexhmm)
+    d, e, _succ = reach_tables(lexhmm)
     frames = _frames(lexhmm, d, e, len(cols))
     bounded = n < lexhmm.automaton.word_count
     back = _completions(lexhmm, cols, frames) if bounded else [None] * len(cols)
@@ -553,7 +554,7 @@ def test_forward_and_backward_passes_meet_at_the_best_final_token():
     for seed in range(30):
         _lex, lexhmm, _hmms, _cfg, obs = _instance(seed + 3000)
         cols = _columns(lexhmm, obs)
-        d, e, _succ = _reach(lexhmm)
+        d, e, _succ = reach_tables(lexhmm)
         frames = _frames(lexhmm, d, e, len(cols))
         back = _completions(lexhmm, cols, frames)
         tokens = _tokens(lexhmm.n_states)
@@ -569,7 +570,9 @@ def test_reach_tables_are_computed_once_per_lexicon_hmm(monkeypatch):
     # Only n-best decodes read the tables; every one after the first reads
     # the tables the first computed, and none changes them.
     calls = []
-    monkeypatch.setattr("flcva.decode._reach", lambda lexhmm: calls.append(1) or _reach(lexhmm))
+    monkeypatch.setattr(
+        "flcva.lexhmm.reach_tables", lambda lexhmm: calls.append(1) or reach_tables(lexhmm)
+    )
     _lex, lexhmm, hmms, cfg, _obs = _instance(4)
     seqs = [_instance(seed)[4] for seed in (4, 5, 6)]
     for decode in (viterbi_tabular, viterbi_flipflop, viterbi_inplace):
@@ -581,7 +584,7 @@ def test_reach_tables_are_computed_once_per_lexicon_hmm(monkeypatch):
             for n in (2, lexhmm.automaton.word_count):
                 decode(lexhmm, obs, n)
     assert len(calls) == 1
-    assert lexhmm.reach == _reach(lexhmm)
+    assert lexhmm.reach == reach_tables(lexhmm)
     # The tables are no field: an HMM that holds them equals one that does not.
     assert lexhmm == _lexhmm(lexhmm.automaton, hmms, cfg)
 
