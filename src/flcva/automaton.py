@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, islice
 from operator import ne
 from typing import Iterable
 
@@ -131,13 +131,10 @@ def _freeze_words(words: Iterable[str], intern) -> int:
     ascending, and UnsortedWords is raised at the first word that is not
     above the one before it.
     """
-    # The open path holds the previous word's proper prefixes, root first,
-    # as two parallel lists: each node's [label, successor ids...] and
-    # whether it ends a word.  The previous word's last node is not on it:
-    # until a word extends prev, its one successor is the sink, so it is
-    # frozen as (prev[-1], 0) without a list.
+    # The open path holds the previous word's nodes, root first, each as
+    # [label, successor ids...].  A node that ends a word holds the sink, 0,
+    # as its last successor, after every letter arc.
     path: list = [[None]]
-    final = [False]
     prev = ""
     # the empty word at the end shares no prefix, so it freezes all but the root
     for n, w in enumerate(chain(words, (_END,))):
@@ -150,18 +147,16 @@ def _freeze_words(words: Iterable[str], intern) -> int:
             if a != b:
                 break
             k += 1
-        if k < len(prev):
-            path[-1].append(intern((prev[-1], 0)))
-            for _ in range(len(path) - 1 - k):
-                node = path.pop()
-                if final.pop():
-                    node.append(0)  # the sink, after every letter arc
-                path[-1].append(intern(tuple(node)))
-        elif prev:  # w extends prev, whose last node now gets letter arcs
-            path.append([prev[-1]])
-            final.append(True)
-        path += map(list, w[k:-1])
-        final += repeat(False, len(w) - k - 1)
+        for _ in range(len(path) - 1 - k):
+            node = intern(tuple(path.pop()))
+            parent = path[-1]
+            if parent[-1] == 0:  # parent ends a word (frozen ids start at 1)
+                parent.insert(-1, node)
+            else:
+                parent.append(node)
+        if w is not _END:
+            path += map(list, w[k:])
+            path[-1].append(0)
         prev = w
     if not n:
         raise AutomatonError("cannot build an automaton from an empty lexicon")

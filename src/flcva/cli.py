@@ -1,6 +1,8 @@
 """Command-line front end: build, decode, gen, verify, bench.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or input error.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or input error
+(out of memory included), 141 (128 + SIGPIPE) stdout closed before all
+output was written, as by `| head`.
 """
 
 from __future__ import annotations
@@ -144,10 +146,9 @@ def _decode_entries(decode, entries, write) -> None:
 # On a 2-vCPU VM one fork, pipe and reap took about 1.3 ms, a decoder took
 # 47-115 ns a unit on the benchmark lexicons (more on smaller ones), and two
 # processes beat one from about 20,000 units a share.  A child is forked only
-# for a share of at least this much work: 2.8 ms at the fastest rate measured.
+# when each half of the file is at least this much work: 2.8 ms at the
+# fastest rate measured.
 _MIN_SHARE_WORK = 60_000
-# Processes a decode may use: the widest split that was measured.
-_MAX_PROCESSES = 2
 
 
 def _usable_cpus() -> int:
@@ -158,17 +159,9 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _shares(entries: list, k: int) -> list:
-    """entries cut into k contiguous runs of near-equal sequence count,
-    none empty for k <= len(entries)."""
-    n = len(entries)
-    return [entries[i * n // k:(i + 1) * n // k] for i in range(k)]
-
-
-def _fork_share(decode, share, children: dict):
-    """Fork a child that writes share's decode text to a pipe; record it in
-    children (pid -> read end) and return its pid, or None when no child
-    could be started."""
+def _fork_share(decode, share):
+    """Fork a child that writes share's decode text to a pipe: (its pid, the
+    pipe's read end as a text file), or None when no child could be started."""
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
@@ -192,44 +185,35 @@ def _fork_share(decode, share, children: dict):
             status = 0
         finally:
             os._exit(status)
-    os.close(write_fd)  # so a later child does not hold this pipe open
-    children[pid] = read_fd
-    return pid
+    os.close(write_fd)  # else reading the pipe never meets its end
+    return pid, open(read_fd, encoding="utf-8", newline="")
 
 
-def _reap(pid: int, children: dict) -> bool:
-    """Wait for child pid, then close its pipe: whether it exited with 0.
-    Until the wait returns, the child stays in children, so an exception
-    raised during the wait still finds it to kill and reap."""
-    status = os.waitpid(pid, 0)[1]
-    os.close(children.pop(pid))
-    return status == 0
-
-
-def _fan_out(decode, shares: list) -> None:
-    """Decode shares[1:] in forked children while this process decodes
-    shares[0], then write their text after it in share order.  A child that
-    does not exit with 0 has its share decoded here instead, so a failure
-    looks as it would in one process."""
-    children = {}  # pid -> read end of its pipe, for each child not yet reaped
+def _fan_out(decode, entries: list) -> None:
+    """Decode the second half of entries in a forked child while this process
+    decodes the first, then write the child's text after its own.  A half
+    whose child could not be started or did not exit with 0 is decoded here
+    instead, so a failure looks as it would in one process."""
+    cut = len(entries) // 2
+    child = _fork_share(decode, entries[cut:])
     try:
-        pids = [_fork_share(decode, share, children) for share in shares[1:]]
-        _decode_entries(decode, shares[0], sys.stdout.write)
-        for share, pid in zip(shares[1:], pids):
-            if pid is not None:
-                with open(children[pid], encoding="utf-8", newline="", closefd=False) as pipe:
-                    text = pipe.read()
-                if _reap(pid, children):
-                    sys.stdout.write(text)
-                    continue
-            _decode_entries(decode, share, sys.stdout.write)
-    except BaseException:
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
+        _decode_entries(decode, entries[:cut], sys.stdout.write)
+        if child is not None:
+            pid, pipe = child
+            with pipe:
+                text = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            child = None  # reaped
+            if status == 0:
+                sys.stdout.write(text)
+                return
+        _decode_entries(decode, entries[cut:], sys.stdout.write)
     finally:
-        for pid in list(children):
-            _reap(pid, children)
+        if child is not None:  # something above raised, the wait included
+            pid, pipe = child
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def cmd_decode(args) -> int:
@@ -244,17 +228,28 @@ def cmd_decode(args) -> int:
     lexhmm = expand(auto, increments, letter_hmms, config)
     entries = read_observations(_read(args.obs))
     if args.variant in VARIANTS:
-        decode = partial(VARIANTS[args.variant], lexhmm)
+        decoder = partial(VARIANTS[args.variant], lexhmm)
     else:
-        decode = partial(NBEST_VARIANTS[args.variant], lexhmm, n=n)
-    # Sequences are independent: k processes decode a share each, where every
-    # share is worth a fork.
+        decoder = partial(NBEST_VARIANTS[args.variant], lexhmm, n=n)
+
+    def decode(symbols):
+        try:
+            return decoder(symbols)
+        except MemoryError:
+            pass  # handled below: the exception holds the decoder's tables until left
+        slots = f": tabular holds N x T = {lexhmm.n_states} x {len(symbols)} token slots"
+        raise InputError(
+            f"out of memory decoding a {len(symbols)}-frame sequence with --variant {args.variant}"
+            + (slots if args.variant == "tabular" else "")
+        )
+
+    # Sequences are independent: a child decodes the second half of the file
+    # when each half is worth a fork.
     work = sum(len(symbols) for symbols, _truth in entries) * lexhmm.n_arcs
-    k = min(_usable_cpus(), len(entries), _MAX_PROCESSES, work // _MIN_SHARE_WORK)
-    if k < 2:
-        _decode_entries(decode, entries, sys.stdout.write)
+    if _usable_cpus() > 1 and len(entries) > 1 and work >= 2 * _MIN_SHARE_WORK:
+        _fan_out(decode, entries)
     else:
-        _fan_out(decode, _shares(entries, k))
+        _decode_entries(decode, entries, sys.stdout.write)
     return 0
 
 
@@ -346,10 +341,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return status
     except (InputError, AutomatonError, HmmConfigError, ExpansionError, DecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader left early.  Python flushes stdout again at exit, so it
+        # is pointed at devnull first; the status is a shell's for a tool
+        # killed by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + signal.SIGPIPE
+    except MemoryError:
+        pass  # reported below: the exception holds what filled memory until left
+    print(f"error: out of memory in {args.command}: the input is too large", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 import argparse
 import os
+import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -17,7 +19,7 @@ from flcva.automaton import (
     Lexicon, build_dawg, build_trie, minimize, parse_automaton, read_wordlist, serialize_automaton,
 )
 from flcva.bench import generate_sequences
-from flcva.cli import _BLOCK, _shares, main
+from flcva.cli import _BLOCK, main
 from flcva.decode import NBEST_VARIANTS, VARIANTS, DecodeResult, format_result
 from flcva.hmm import read_observations
 from flcva.hmm import HmmConfig, format_config, format_observations, make_letter_hmms, parse_config
@@ -678,8 +680,8 @@ def test_deep_word_builds_and_decodes(tmp_path, capsys):
     assert capsys.readouterr().out.startswith(f"1 {word} 0 ")
 
 
-# Three sequences a side of the two-share cut, an unknown symbol on each side;
-# with three shares the cuts fall after "x y" and after "b q".
+# Three sequences a side of the cut between the parent's half and the child's,
+# an unknown symbol on each side.
 FAN_OUT_OBS = "b c d\nx y\na b\nb q\nc\nb b c\n"
 FAN_OUT_OPTIONS = [
     *(["--variant", v] for v in VARIANTS),
@@ -729,12 +731,29 @@ def _no_fork(monkeypatch) -> None:
     monkeypatch.setattr(os, "fork", no_fork)
 
 
-def test_fan_out_shares_put_an_error_on_each_side_of_a_cut():
-    entries = read_observations(FAN_OUT_OBS)
-    texts = [[" ".join(symbols) for symbols, _ in share] for share in _shares(entries, 2)]
-    assert texts == [["b c d", "x y", "a b"], ["b q", "c", "b b c"]]
-    texts = [[" ".join(symbols) for symbols, _ in share] for share in _shares(entries, 3)]
-    assert texts == [["b c d", "x y"], ["a b", "b q"], ["c", "b b c"]]
+# Lines of FAN_OUT_OBS for n = 2, 3, 5 and 6 sequences, each with an
+# unknown symbol ("x y", "b q") on each side of the cut after n // 2.
+@pytest.mark.parametrize("lines", [(1, 3), (1, 2, 3), (0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 5)], ids=len)
+def test_fan_out_child_decodes_the_second_half(toy_paths, fan_out_decode, monkeypatch, lines):
+    obs = [FAN_OUT_OBS.splitlines()[i] for i in lines]
+    (toy_paths[2] / "obs.txt").write_text("".join(f"{line}\n" for line in obs))
+    cut = len(obs) // 2
+    assert "x y" in obs[:cut] and "b q" in obs[cut:]
+    alone = fan_out_decode(1)
+    assert alone.count("# error:") == 2
+    seen, parent, decoder = toy_paths[2] / "seen.txt", os.getpid(), VARIANTS["inplace"]
+
+    def recorded(lexhmm, symbols):
+        if os.getpid() != parent:
+            with open(seen, "a") as fh:
+                fh.write(" ".join(symbols) + "\n")
+        return decoder(lexhmm, symbols)
+
+    monkeypatch.setitem(VARIANTS, "inplace", recorded)
+    forks = _count_forks(monkeypatch)
+    assert fan_out_decode(2) == alone
+    assert len(forks) == 1
+    assert seen.read_text().splitlines() == obs[cut:]
 
 
 @pytest.mark.parametrize("options", FAN_OUT_OPTIONS, ids=" ".join)
@@ -744,11 +763,7 @@ def test_fan_out_output_is_the_one_process_output(fan_out_decode, monkeypatch, o
     forks = _count_forks(monkeypatch)
     for cpus in (2, 8):
         assert fan_out_decode(cpus, *options) == alone
-    assert len(forks) == 2  # at most cli._MAX_PROCESSES processes
-    monkeypatch.setattr(cli, "_MAX_PROCESSES", 8)
-    for cpus in (3, 8):
-        assert fan_out_decode(cpus, *options) == alone
-    assert len(forks) == 2 + 2 + 5  # one child per share after the first
+    assert len(forks) == 2  # one child whatever the CPU count
 
 
 def test_fan_out_child_output_past_the_pipe_buffer(toy_paths, fan_out_decode):
@@ -786,12 +801,12 @@ def test_decode_forks_only_for_shares_worth_a_fork(toy_paths, fan_out_decode, mo
     work = sum(len(symbols) for symbols, _ in read_observations(FAN_OUT_OBS)) * lexhmm.n_arcs
     alone = fan_out_decode(1)
     forks = _count_forks(monkeypatch)
-    monkeypatch.setattr(cli, "_MIN_SHARE_WORK", work // 2)
-    assert fan_out_decode(2) == alone
-    assert len(forks) == 1
-    _no_fork(monkeypatch)
-    monkeypatch.setattr(cli, "_MIN_SHARE_WORK", work // 2 + 1)
-    assert fan_out_decode(2) == alone
+    for cpus in (1, 2, 8):
+        for low, worth in ((work // 2, True), (work // 2 + 1, False)):  # each half's work
+            monkeypatch.setattr(cli, "_MIN_SHARE_WORK", low)
+            before = len(forks)
+            assert fan_out_decode(cpus) == alone
+            assert len(forks) - before == (cpus > 1 and worth)
     monkeypatch.undo()  # the real bound: a toy file is never worth a fork
     _no_fork(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
@@ -855,3 +870,93 @@ def test_interrupted_wait_still_reaps_the_child(fan_out_decode, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         fan_out_decode(2)
     assert waits[0] == waits[1] > 0  # the child's wait is retried in the cleanup
+
+
+def test_child_out_of_memory_fails_in_the_parent_with_one_error_line(
+    toy_paths, fan_out_decode, monkeypatch, capsys
+):
+    # fan_out_decode writes the input files and makes every half worth a fork
+    tmp, parent, decoder = toy_paths[2], os.getpid(), VARIANTS["tabular"]
+    children = tmp / "children.txt"
+
+    def short_of_memory(lexhmm, symbols):
+        if " ".join(symbols) != "b b c":
+            return decoder(lexhmm, symbols)
+        if os.getpid() != parent:
+            children.write_text("b b c\n")
+        raise MemoryError
+
+    monkeypatch.setitem(VARIANTS, "tabular", short_of_memory)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = _count_forks(monkeypatch)
+    argv = ["decode", str(tmp / "dawg.auto"), str(tmp / "golden.cfg"), str(tmp / "obs.txt")]
+    assert main([*argv, "--variant", "tabular"]) == 2
+    assert len(forks) == 1 and children.read_text() == "b b c\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"error: out of memory decoding a 3-frame sequence with --variant tabular: "
+        r"tabular holds N x T = \d+ x 3 token slots\n", err)
+
+
+def _flcva(argv: list, **kwargs) -> subprocess.Popen:
+    """`flcva <argv>` started in a new interpreter on this checkout's sources."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.Popen([sys.executable, "-m", "flcva.cli", *map(str, argv)], env=env, **kwargs)
+
+
+def _one_cpu() -> None:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+@pytest.mark.parametrize("pin", [None, _one_cpu], ids=["every-cpu", "one-cpu"])
+def test_closed_stdout_exits_141_without_a_traceback(toy_paths, pin):
+    wordlist, _config, tmp = toy_paths
+    config, auto, obs = tmp / "soft.cfg", tmp / "dawg.auto", tmp / "long.txt"
+    config.write_text(format_config(HmmConfig(
+        alphabet=tuple("abcd"), states_per_letter=1, self_loop_prob=0.5, emission_peak=0.7)))
+    assert main(["build", str(wordlist), str(auto), "--dawg"]) == 0
+    # about 500 kB of rankings, far past what a pipe holds once its reader leaves
+    assert main(["gen", str(wordlist), str(config), str(obs), "--count", "3000"]) == 0
+    argv = ["decode", auto, config, obs, "--variant", "nbest-naive", "--nbest", "all"]
+    proc = _flcva(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=pin)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert b"Traceback" not in err
+
+
+def _address_space_100_mb() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (100 << 20, 100 << 20))
+
+
+@pytest.mark.parametrize("before", ["", "b c d\n"], ids=["alone", "in-the-child-half"])
+def test_out_of_memory_exits_2_with_one_error_line(toy_paths, before):
+    wordlist, config, tmp = toy_paths
+    auto, obs, frames = tmp / "dawg.auto", tmp / "obs.txt", 500_000
+    assert main(["build", str(wordlist), str(auto), "--dawg"]) == 0
+    # about 5 x 10^6 token slots, past 100 MB within a second
+    obs.write_text(before + " ".join("b" * frames) + "\n")
+    argv = ["decode", auto, config, obs, "--variant", "tabular"]
+    proc = _flcva(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=_address_space_100_mb)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert re.fullmatch(
+        rf"error: out of memory decoding a {frames}-frame sequence with --variant tabular: "
+        rf"tabular holds N x T = \d+ x {frames} token slots\n", err.decode())
+    assert out.count(b"# ops=") == len(before.splitlines())
+
+
+def test_out_of_memory_reading_the_input_exits_2_with_one_error_line(toy_paths):
+    wordlist, config, tmp = toy_paths
+    auto, obs = tmp / "dawg.auto", tmp / "obs.txt"
+    assert main(["build", str(wordlist), str(auto), "--dawg"]) == 0
+    # a 16 MB file whose symbols alone pass 100 MB once split
+    obs.write_text(" ".join("b" * 8_000_000) + "\n")
+    proc = _flcva(["decode", auto, config, obs], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                  preexec_fn=_address_space_100_mb)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out, err) == (2, b"", b"error: out of memory in decode: the input is too large\n")
