@@ -3,6 +3,8 @@
 Builds both structures from the same word list, decodes the same generated
 observation set with each, and reports wall clock plus the machine-
 independent ops counter so the speedup direction is checkable anywhere.
+The decoders are the CLI's (decode.VARIANTS), so a row's ops are those of
+`flcva decode` on the same files.
 """
 
 from __future__ import annotations
@@ -12,14 +14,14 @@ import time
 from dataclasses import dataclass
 
 from .automaton import Lexicon, build_dawg, build_trie
-from .decode import viterbi_flipflop, viterbi_inplace
+from .decode import VARIANTS
 from .hmm import HmmConfig, make_letter_hmms, sample_observations
 from .lexhmm import expand
 from .pph import annotate_increments, compute_suff
 
 CSV_HEADER = "structure,variant,N,p,T_total,sequences,wall_ms,ops,token_slots"
 
-_VARIANTS = (("flipflop", viterbi_flipflop), ("inplace", viterbi_inplace))
+_VARIANTS = ("flipflop", "inplace")
 
 
 @dataclass
@@ -67,7 +69,8 @@ def run_bench(
         increments = annotate_increments(auto, compute_suff(auto))
         lexhmm = expand(auto, increments, letter_hmms, config)
         mean_preds = lexhmm.n_arcs / lexhmm.n_states
-        for variant, fn in _VARIANTS:
+        for variant in _VARIANTS:
+            fn = VARIANTS[variant]
             ops = 0
             token_slots = 0
             start = time.perf_counter()

@@ -148,6 +148,11 @@ def _decode_entries(decode, entries, write) -> None:
 # processes beat one from about 20,000 units a share.  A child is forked only
 # when each half of the file is at least this much work: 2.8 ms at the
 # fastest rate measured.
+# These are full-relaxation units, although the decoders relax only the
+# time window: the bound was measured in them.  The windowed work of a
+# 15-sequence suffix10k benchmark part is 56 % of its estimate (117,450 to
+# 122,310 units over seeds 1-12), under this bound on 7 of the 12.  A
+# windowed estimate needs a bound measured anew, in its own units.
 _MIN_SHARE_WORK = 60_000
 
 

@@ -3,15 +3,21 @@
 Variants: tabular (full lattice + backtracking, the reference), flip-flop
 (two token arrays), in-place (one token array), and n-best with naive and
 improved merging.  Every 1-best variant runs the same frame step, which
-scans the states in reverse topological order; in-place differs only in
-reading and writing one array.  The 1-best step relaxes every state, so
-its ops are T times the predecessor count, the work the work-scaling
-checks predict.  The n-best loop merges only live states: the successors
-of the previous frame's token holders that can still reach a word end by
-the last frame.  A state left out would merge only empty lists, so the
-counters are those of every state in that time window.  Below n = W the
-loop cuts every token whose best completion, from one backward pass,
-cannot reach the top n.
+scans a frame's states in reverse topological order; in-place differs only
+in reading and writing one array.  With window=True, as the CLI runs them
+(VARIANTS), the 1-best kernels relax at frame t of T only the states with
+d(j) <= t <= T - 1 - e(j), the time window (LexiconHMM.windows).  A state
+outside its window keeps a stale token, but only states outside their own
+windows read it, so rankings and tabular's backtrack are those of the full
+relaxation, and ops counts the window's predecessor visits.  Called
+directly, they relax every state by default: ops is then T times the
+predecessor count, the work the work-scaling checks predict.  The n-best
+loop merges only live states: the successors of the previous frame's
+token holders that can still reach a word end by the last frame.  A state
+left out would merge only empty lists, so the counters are those of every
+state in that time window.  Below n = W the loop cuts every token whose
+best completion, from one backward pass over the same windows, cannot
+reach the top n.
 Each frame reads one emission column, LexiconHMM.emissions[symbol], and a
 sequence's columns are looked up before its first frame runs.
 
@@ -30,6 +36,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import groupby
 
 from .hmm import grid_score
@@ -48,9 +55,10 @@ class DecodeResult:
     """Ranked (word, path index, log score) rows plus instrumentation."""
 
     ranking: list = field(default_factory=list)
-    # 1-best counts every state at every frame; n-best only the live states
-    # it merges, reading the tokens its completion bound left, and not its
-    # backward pass (see _nbest).
+    # 1-best counts the states it relaxes: those in the time window with
+    # window=True (the CLI's), else every state at every frame; n-best only
+    # the live states it merges, reading the tokens its completion bound
+    # left, and not its backward pass (see _nbest).
     ops: int = 0            # 1-best: predecessor visits; n-best: candidate tokens read
     merges: int = 0         # token-list merge operations
     token_slots: int = 0    # peak token storage (n-best: tokens alive)
@@ -89,26 +97,37 @@ def _tokens(n_states: int) -> list:
     return [INF] * n_states + [0]
 
 
-def _step(lexhmm: LexiconHMM, col, src, dst) -> int:
-    """One frame of min-plus relaxation, emissions read from the frame's
-    column col; returns the predecessor visits.
+def _step(window, col, src, dst) -> int:
+    """One frame of min-plus relaxation over window, a (states, visits)
+    pair (see lexhmm.window_lists), emissions read from the frame's column
+    col; returns visits, the predecessor entries read.
 
-    For each state j, the least source token plus transition over preds[j]
-    (the best score, ties to the smaller pph) gets col[j] and is written to
-    dst; a strict compare keeps the first such predecessor.  States are
-    visited in reverse topological order, each after all of its successors,
-    so src may be dst: no token is overwritten before it has been read.
+    For each (j, preds[j]) in states, the least source token plus
+    transition over preds[j] (the best score, ties to the smaller pph) gets
+    col[j] and is written to dst; a strict compare keeps the first such
+    predecessor.  States come in reverse topological order, each after all
+    of its successors, so src may be dst: no token is overwritten before it
+    has been read.
     """
-    preds = lexhmm.preds
-    for j, preds_j, e in zip(range(len(preds) - 1, -1, -1), reversed(preds), reversed(col)):
+    states, visits = window
+    for j, preds_j in states:
         best = INF
         for i, w in preds_j:
             c = src[i] + w
             if c < best:
                 best = c
-        dst[j] = best + e
+        dst[j] = best + col[j]
     dst[START] = INF  # START feeds the first frame only
-    return lexhmm.n_arcs
+    return visits
+
+
+def _relaxed(lexhmm: LexiconHMM, n_frames: int, window: bool) -> list:
+    """Each frame's (states, visits) for _step: the time window's
+    (LexiconHMM.windows), or else every state at every frame."""
+    if window:
+        return lexhmm.windows(n_frames)
+    every = list(zip(range(lexhmm.n_states - 1, -1, -1), reversed(lexhmm.preds)))
+    return [(every, lexhmm.n_arcs)] * n_frames
 
 
 def _top_n(cands: list, n: int, mask: int) -> list:
@@ -152,31 +171,33 @@ def _ranking(lexhmm: LexiconHMM, top) -> list:
     return rows
 
 
-def viterbi_flipflop(lexhmm: LexiconHMM, obs) -> DecodeResult:
+def viterbi_flipflop(lexhmm: LexiconHMM, obs, window: bool = False) -> DecodeResult:
     """1-best token passing with two flip-flop arrays (2N token slots)."""
     n_states = lexhmm.n_states
     res = DecodeResult(token_slots=2 * n_states)
     src, dst = _tokens(n_states), _tokens(n_states)
-    for col in _columns(lexhmm, obs):
-        res.ops += _step(lexhmm, col, src, dst)
+    cols = _columns(lexhmm, obs)
+    for col, frame in zip(cols, _relaxed(lexhmm, len(cols), window)):
+        res.ops += _step(frame, col, src, dst)
         src, dst = dst, src
     res.ranking = _ranking(lexhmm, [k for k, _f in _best_final(lexhmm, src)])
     return res
 
 
-def viterbi_inplace(lexhmm: LexiconHMM, obs) -> DecodeResult:
+def viterbi_inplace(lexhmm: LexiconHMM, obs, window: bool = False) -> DecodeResult:
     """1-best with a single token array (N slots), scanned in reverse
     topological order so each predecessor is read before being overwritten."""
     n_states = lexhmm.n_states
     res = DecodeResult(token_slots=n_states)
     tokens = _tokens(n_states)
-    for col in _columns(lexhmm, obs):
-        res.ops += _step(lexhmm, col, tokens, tokens)
+    cols = _columns(lexhmm, obs)
+    for col, frame in zip(cols, _relaxed(lexhmm, len(cols), window)):
+        res.ops += _step(frame, col, tokens, tokens)
     res.ranking = _ranking(lexhmm, [k for k, _f in _best_final(lexhmm, tokens)])
     return res
 
 
-def viterbi_tabular(lexhmm: LexiconHMM, obs) -> DecodeResult:
+def viterbi_tabular(lexhmm: LexiconHMM, obs, window: bool = False) -> DecodeResult:
     """Reference 1-best: full T x N lattice, winner recovered by
     backtracking (N*T token slots)."""
     n_states = lexhmm.n_states
@@ -184,8 +205,8 @@ def viterbi_tabular(lexhmm: LexiconHMM, obs) -> DecodeResult:
     cols = _columns(lexhmm, obs)
     # lattice[t] holds the tokens after t frames; lattice[0] is the start.
     lattice = [_tokens(n_states) for _ in range(len(obs) + 1)]
-    for t, col in enumerate(cols):
-        res.ops += _step(lexhmm, col, lattice[t], lattice[t + 1])
+    for t, frame in enumerate(_relaxed(lexhmm, len(cols), window)):
+        res.ops += _step(frame, cols[t], lattice[t], lattice[t + 1])
     top = _best_final(lexhmm, lattice[-1])
     if not top:
         return res
@@ -208,33 +229,21 @@ def viterbi_tabular(lexhmm: LexiconHMM, obs) -> DecodeResult:
 # --- n-best ----------------------------------------------------------------
 
 
-def _frames(lexhmm: LexiconHMM, d: list, e: list, n_frames: int) -> list:
-    """The states in the time window at each of n_frames frames, as
-    (state, preds) pairs in state order: at frame t those with
-    d(j) <= t <= T - 1 - e(j) (see lexhmm.reach_tables)."""
-    preds = lexhmm.preds
-    frames: list = [[] for _ in range(n_frames)]
-    for j, (dj, ej) in enumerate(zip(d, e)):
-        if dj + ej < n_frames:  # else no path through j fits in T, or none exists
-            entry = (j, preds[j])
-            for t in range(dj, n_frames - ej):
-                frames[t].append(entry)
-    return frames
-
-
-def _completions(lexhmm: LexiconHMM, cols: list, frames: list) -> list:
+def _completions(lexhmm: LexiconHMM, cols: list) -> list:
     """back[t][j]: the best completion of a token held at state j after
     frame t, math.inf for none.
 
     A completion is the packed cost and pph increments of the rest of a
     path: transitions and emissions of frames t + 1 .. T - 1, then the sink
-    arc's increment.  One backward min-plus pass over the frames' windows:
-    at the last frame an exit state holds its sink-arc increment, and each
-    earlier frame relaxes every predecessor of the next frame's windowed
-    states.  back[t][j] is exact for every state j in frames[t].
+    arc's increment.  One backward min-plus pass over the frames' windows
+    (LexiconHMM.windows): at the last frame an exit state holds its
+    sink-arc increment, and each earlier frame relaxes every predecessor of
+    the next frame's windowed states.  back[t][j] is exact for every state
+    j in frame t's window.
     """
     if not cols:
         return []
+    windows = lexhmm.windows(len(cols))
     after = [INF] * (len(lexhmm.preds) + 1)
     for f, dpph in lexhmm.finals:
         after[f] = dpph
@@ -242,7 +251,9 @@ def _completions(lexhmm: LexiconHMM, cols: list, frames: list) -> list:
     for t in range(len(cols) - 1, 0, -1):
         col = cols[t]
         cur = [INF] * len(after)
-        for j, preds_j in frames[t]:
+        # State order: the lists' reverse order made the pass about 5 %
+        # slower on the suffix100k benchmark lexicon.
+        for j, preds_j in reversed(windows[t][0]):
             rest = col[j] + after[j]
             if rest != INF:
                 for i, w in preds_j:
@@ -287,21 +298,22 @@ def _nbest(lexhmm: LexiconHMM, obs, n: int, merge_state) -> DecodeResult:
     pass and the bound are skipped: the all-words work stays the same on a
     trie and a DAWG.
 
-    n = 1 runs the 1-best kernel instead, counters and all: both break score
-    ties toward the smaller pph, so its one token is the rank-1 token.
+    n = 1 runs the windowed in-place 1-best kernel instead, counters and
+    all: both break score ties toward the smaller pph, so its one token is
+    the rank-1 token.
     """
     if n < 1:
         raise DecodeError("n must be >= 1")
     if n == 1:
-        return viterbi_inplace(lexhmm, obs)
+        return viterbi_inplace(lexhmm, obs, window=True)
     res = DecodeResult()
     mask = (1 << lexhmm.pph_bits) - 1
     preds = lexhmm.preds
     cols = _columns(lexhmm, obs)
-    d, e, succ = lexhmm.reach
+    _d, e, succ = lexhmm.reach
     bounded = n < lexhmm.automaton.word_count
     if bounded:
-        back = _completions(lexhmm, cols, _frames(lexhmm, d, e, len(cols)))
+        back = _completions(lexhmm, cols)
     else:
         back = [None] * len(cols)
     top: list = []  # the n best completions seen, one per pph
@@ -439,10 +451,12 @@ def nbest_improved(lexhmm: LexiconHMM, obs, n: int) -> DecodeResult:
     return _nbest(lexhmm, obs, n, _merge_improved)
 
 
+# The CLI's 1-best variants relax only the time window; called directly,
+# the kernels keep the full relaxation unless asked.
 VARIANTS = {
-    "tabular": viterbi_tabular,
-    "flipflop": viterbi_flipflop,
-    "inplace": viterbi_inplace,
+    "tabular": partial(viterbi_tabular, window=True),
+    "flipflop": partial(viterbi_flipflop, window=True),
+    "inplace": partial(viterbi_inplace, window=True),
 }
 
 NBEST_VARIANTS = {"nbest-naive": nbest_naive, "nbest-improved": nbest_improved}

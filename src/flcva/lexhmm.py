@@ -1,13 +1,16 @@
 """Lexicon-HMM expansion: flatten a node-automaton plus letter models into one
 global state graph with predecessor lists and path-index increments on
-cross-node transitions, its states numbered in topological order.
+cross-node transitions, its states numbered in topological order.  The
+graph's time window (reach tables and per-frame window lists), which the
+decoders read, is computed here too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 from .automaton import NodeAutomaton
@@ -40,9 +43,10 @@ class LexiconHMM:
     state j's packed emission cost (pph 0) for symbol s, so a frame reads
     one column emissions[s]; finals holds (exit state, sink-arc pph
     increment).
-    n_arcs is the total length of the preds lists.  reach, the n-best time
-    window's tables, is computed on first use and is not a field, so == still
-    compares the fields only.
+    n_arcs is the total length of the preds lists.  reach, the time window's
+    tables, is computed on first use and is not a field, and windows keeps
+    its last result in a field left out of ==, so == compares the expansion
+    only.
     """
 
     automaton: NodeAutomaton
@@ -53,6 +57,7 @@ class LexiconHMM:
     finals: tuple
     pph_bits: int
     n_arcs: int
+    _windows: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @property
     def n_states(self) -> int:
@@ -60,9 +65,17 @@ class LexiconHMM:
 
     @cached_property
     def reach(self) -> tuple[list, list, list]:
-        """reach_tables(self), computed once per HMM, by the first n-best
-        decode, and shared read-only by every later one."""
+        """reach_tables(self), computed once per HMM, by the first decode
+        that reads a time window, and shared read-only by every later one."""
         return reach_tables(self)
+
+    def windows(self, n_frames: int) -> list:
+        """window_lists(self, n_frames), kept for the last n_frames asked
+        for: the sequences of a file of one length share one set of lists,
+        and no more than one set is held."""
+        if not self._windows or self._windows[0] != n_frames:
+            self._windows = (n_frames, window_lists(self, n_frames))
+        return self._windows[1]
 
 
 def reach_tables(lexhmm: LexiconHMM) -> tuple[list, list, list]:
@@ -99,6 +112,40 @@ def reach_tables(lexhmm: LexiconHMM) -> tuple[list, list, list]:
             if i != j and step < e[i]:
                 e[i] = step
     return d[:-1], e[:-1], succ
+
+
+def window_lists(lexhmm: LexiconHMM, n_frames: int) -> list:
+    """Each of n_frames frames' time window as (states, visits): states
+    lists (j, preds[j]) for every state j with d(j) <= t <= T - 1 - e(j)
+    at frame t of T = n_frames (see reach_tables), in reverse state order,
+    and visits is the total length of those preds lists.
+
+    Outside its window a state holds no token yet (t < d(j)) or feeds only
+    states past their own windows (t > T - 1 - e(j)), so a relaxation of
+    the windows alone gives every windowed state the token a full
+    relaxation would.  The frames from D to T - 1 - E, D the largest d and
+    E the largest e, hold every state: they share one list, so the lists
+    take memory for at most D + E + 1 frames, however long the sequence.
+    """
+    d, e, _succ = lexhmm.reach
+    top_d, top_e = max(d, default=0), max(e, default=0)  # math.inf: no sharing
+    span = top_d + top_e + 1
+    if n_frames > span:
+        # Frames top_d .. n_frames - 1 - top_e share one list; the others are
+        # those of a span-frame sequence.
+        short = window_lists(lexhmm, span)
+        return short[:top_d] + short[top_d:top_d + 1] * (n_frames - span + 1) + short[top_d + 1:]
+    preds = lexhmm.preds
+    lists: list = [[] for _ in range(n_frames)]
+    change = [0] * (n_frames + 1)  # visits by differences: + from d(j), - past T - 1 - e(j)
+    for j, dj, ej, preds_j in zip(range(len(preds) - 1, -1, -1), reversed(d), reversed(e), reversed(preds)):
+        if dj + ej < n_frames:  # else no path through j fits in T, or none exists
+            entry = (j, preds_j)
+            for t in range(dj, n_frames - ej):
+                lists[t].append(entry)
+            change[dj] += len(preds_j)
+            change[n_frames - ej] -= len(preds_j)
+    return list(zip(lists, accumulate(change)))
 
 
 def expand(

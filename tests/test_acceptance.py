@@ -24,6 +24,7 @@ from flcva import (
     viterbi_tabular,
 )
 from flcva.bench import generate_sequences, run_bench
+from flcva.decode import VARIANTS
 from flcva.pph import annotate_increments, compute_suff, encode_word
 from flcva.synth import random_lexicon, synthetic_lexicon
 
@@ -111,6 +112,9 @@ def test_criterion_3_decoder_equivalence():
         flip = viterbi_flipflop(lexhmm, obs)
         inpl = viterbi_inplace(lexhmm, obs)
         assert tab.ranking == flip.ranking == inpl.ranking, f"seed {seed}"
+        # the CLI's kernels relax only the time window, against the full ones
+        for name, fn in VARIANTS.items():
+            assert fn(lexhmm, obs).ranking == tab.ranking, f"seed {seed} windowed {name}"
         if tab.ranking:
             word, pph, _score = tab.ranking[0]
             assert decode_pph(lexhmm.automaton, lexhmm.suff, pph) == word
@@ -144,8 +148,9 @@ def test_criterion_5_nbest_correctness():
     ):
         lexhmm, hmms = _lexhmm_for(lex, cfg)
         best = nbest_exhaustive(lex, hmms, cfg, obs, 1)
-        for fn in (viterbi_tabular, viterbi_flipflop, viterbi_inplace):
-            assert fn(lexhmm, obs).ranking == best, f"toy {cfg} {fn.__name__}"
+        # the full relaxation, then the CLI's windowed kernels
+        for fn in (viterbi_tabular, viterbi_flipflop, viterbi_inplace, *VARIANTS.values()):
+            assert fn(lexhmm, obs).ranking == best, f"toy {cfg} {fn}"
         for n in range(1, 7):
             naive = nbest_naive(lexhmm, obs, n)
             improved = nbest_improved(lexhmm, obs, n)
@@ -169,13 +174,14 @@ def test_criterion_5_nbest_correctness():
 
 
 def test_criterion_5_nbest_n1_is_1best():
-    # n = 1 is the 1-best kernel: same ranking and every counter.
+    # n = 1 is the CLI's in-place 1-best kernel, which relaxes the time
+    # window: same ranking and every counter.
     instances = [(["a"] * 3, _lexhmm_for(Lexicon.from_words(TOY_WORDS), uniform_config())[0])]
     for seed in range(100):
         _lex, _cfg, lexhmm, _hmms, obs = _random_instance(seed + 5000)
         instances.append((obs, lexhmm))
     for obs, lexhmm in instances:
-        one = viterbi_inplace(lexhmm, obs)
+        one = VARIANTS["inplace"](lexhmm, obs)
         assert nbest_naive(lexhmm, obs, 1) == one
         assert nbest_improved(lexhmm, obs, 1) == one
 

@@ -216,12 +216,14 @@ def test_decode_onehot_bcd(toy_paths, capsys):
 
 
 GOLDEN_DECODE = {
+    # 1-best ops count the time window's predecessor visits, 29 a frame
+    # under full relaxation: sum over j of |preds_j| * max(0, T - d_j - e_j).
     ("--variant", "inplace"): """\
 1 bcd 3 -3.92342438456
-# ops=174 merges=0 token_slots=14 emission_adds=0
+# ops=87 merges=0 token_slots=14 emission_adds=0
 1 ab 0 -2.49672460835
-# ops=116 merges=0 token_slots=14 emission_adds=0
-# ops=29 merges=0 token_slots=14 emission_adds=0
+# ops=33 merges=0 token_slots=14 emission_adds=0
+# ops=0 merges=0 token_slots=14 emission_adds=0
 """,
     ("--variant", "nbest-naive", "--nbest", "all"): """\
 1 bcd 3 -3.92342438456
@@ -455,9 +457,11 @@ def test_bench_is_the_file_pipeline(toy_paths, capsys):
             assert main(["decode", str(auto), str(config), str(obs), "--variant", variant]) == 0
             pipeline_ops[(structure, variant)] = _summed_ops(capsys.readouterr().out)
     assert bench_ops == pipeline_ops
-    # 17 frames: 16 predecessor visits a frame in the trie, 15 in the DAWG
-    assert pipeline_ops == {("trie", "flipflop"): 272, ("trie", "inplace"): 272,
-                            ("dawg", "flipflop"): 255, ("dawg", "inplace"): 255}
+    # Sequences of 4, 5, 1 and 7 frames, each relaxing its time window:
+    # sum over j of |preds_j| * max(0, T - d_j - e_j), 48 + 64 + 2 + 96 in
+    # the trie (16 predecessor entries) and 45 + 60 + 2 + 90 in the DAWG (15).
+    assert pipeline_ops == {("trie", "flipflop"): 210, ("trie", "inplace"): 210,
+                            ("dawg", "flipflop"): 197, ("dawg", "inplace"): 197}
 
 
 def test_gen_writes_generate_sequences(toy_paths):

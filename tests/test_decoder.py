@@ -27,8 +27,8 @@ from flcva import (
     viterbi_tabular,
 )
 from flcva.decode import (
-    _best_final, _columns, _completions, _frames, _merge_improved, _merge_naive, _merge_ranks,
-    _nbest, _ranking, _step, _tokens, _top_n, _unpack,
+    VARIANTS, _best_final, _columns, _completions, _merge_improved, _merge_naive, _merge_ranks,
+    _nbest, _ranking, _relaxed, _step, _tokens, _top_n, _unpack,
 )
 from flcva.hmm import LOG_QUANTUM, NEG_INF
 from flcva.lexhmm import reach_tables
@@ -420,10 +420,9 @@ def _windowed_nbest(lexhmm, obs, n, merge_state):
     res = DecodeResult()
     mask = (1 << lexhmm.pph_bits) - 1
     cols = _columns(lexhmm, obs)
-    d, e, _succ = reach_tables(lexhmm)
-    frames = _frames(lexhmm, d, e, len(cols))
+    frames = [states for states, _visits in lexhmm.windows(len(cols))]
     bounded = n < lexhmm.automaton.word_count
-    back = _completions(lexhmm, cols, frames) if bounded else [None] * len(cols)
+    back = _completions(lexhmm, cols) if bounded else [None] * len(cols)
     top = []
     prev = [()] * len(lexhmm.preds) + [[0]]
     held = 0
@@ -466,6 +465,69 @@ def _small_lexicon_cases(draw, self_loops=(0.3, 0.5), peaks=(0.4, 0.7, 1.0)):
     frames = cfg.states_per_letter * max(map(len, words)) + 2
     obs = draw(st.lists(st.sampled_from("abc"), max_size=frames))
     return Lexicon.from_words(words), make_letter_hmms("abc", cfg), cfg, obs
+
+
+def _window_work(lexhmm, n_frames):
+    """The predecessor entries a relaxation of the time window visits over
+    n_frames frames, in closed form: sum over j of |preds_j| *
+    max(0, T - d_j - e_j)."""
+    d, e, _succ = reach_tables(lexhmm)
+    return sum(len(p) * max(0, n_frames - dj - ej) for p, dj, ej in zip(lexhmm.preds, d, e))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_lexicon_cases(), st.data())
+def test_time_window_keeps_1best_rankings_and_visits_the_closed_form(case, data):
+    # T runs from 0 to two frames past the longest word, below, at and
+    # above the shortest word's frame count included.  Windowed and full
+    # relaxations give the same rankings, tabular's backtracked word
+    # included; the windowed visits are the closed form's.  n-best at n = 1
+    # is the CLI's in-place kernel, counters included.
+    lex, hmms, cfg, obs = case
+    spl = cfg.states_per_letter
+    shortest, longest = (spl * f(map(len, lex.words)) for f in (min, max))
+    seq = data.draw(st.lists(st.sampled_from("abc"), min_size=longest + 2, max_size=longest + 2))
+    seqs = [obs, *(seq[:t] for t in (0, shortest - 1, shortest, shortest + 1, longest + 2))]
+    for auto in (build_trie(lex), build_dawg(lex)):
+        lexhmm = _lexhmm(auto, hmms, cfg)
+        for o in seqs:
+            for fn in (viterbi_tabular, viterbi_flipflop, viterbi_inplace):
+                full, windowed = fn(lexhmm, o), fn(lexhmm, o, window=True)
+                assert windowed.ranking == full.ranking, fn.__name__
+                assert full.ops == len(o) * lexhmm.n_arcs
+                assert windowed.ops == _window_work(lexhmm, len(o))
+                assert windowed.token_slots == full.token_slots
+            one = VARIANTS["inplace"](lexhmm, o)
+            assert one == viterbi_inplace(lexhmm, o, window=True)
+            assert nbest_naive(lexhmm, o, 1) == nbest_improved(lexhmm, o, 1) == one
+
+
+@settings(max_examples=50, deadline=None)
+@given(_small_lexicon_cases())
+def test_window_lists_are_the_time_window_in_reverse_state_order(case):
+    # Frame t of T lists (j, preds[j]) for d(j) <= t <= T - 1 - e(j), last
+    # state first, with its predecessor entries' count.  The lists of the
+    # last T asked for are kept, and frames between the largest d and the
+    # last max-e frames share one list, so a long sequence holds no more
+    # lists than a short one.
+    lex, hmms, cfg, _obs = case
+    for auto in (build_trie(lex), build_dawg(lex)):
+        lexhmm = _lexhmm(auto, hmms, cfg)
+        d, e, _succ = reach_tables(lexhmm)
+        top = max(d) + max(e)
+        for n_frames in range(top + 4):
+            windows = lexhmm.windows(n_frames)
+            assert lexhmm.windows(n_frames) is windows
+            expected = []
+            for t in range(n_frames):
+                states = [(j, lexhmm.preds[j]) for j in reversed(range(lexhmm.n_states))
+                          if d[j] <= t <= n_frames - 1 - e[j]]
+                expected.append((states, sum(len(p) for _j, p in states)))
+            assert windows == expected
+            assert sum(visits for _states, visits in windows) == _window_work(lexhmm, n_frames)
+        long = lexhmm.windows(10_000)
+        assert len(long) == 10_000
+        assert len({id(states) for states, _visits in long}) <= top + 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -554,21 +616,21 @@ def test_forward_and_backward_passes_meet_at_the_best_final_token():
     for seed in range(30):
         _lex, lexhmm, _hmms, _cfg, obs = _instance(seed + 3000)
         cols = _columns(lexhmm, obs)
-        d, e, _succ = reach_tables(lexhmm)
-        frames = _frames(lexhmm, d, e, len(cols))
-        back = _completions(lexhmm, cols, frames)
+        back = _completions(lexhmm, cols)
         tokens = _tokens(lexhmm.n_states)
         met = []
-        for col, frame, after in zip(cols, frames, back):
-            _step(lexhmm, col, tokens, tokens)
+        full = _relaxed(lexhmm, len(cols), window=False)
+        for col, every, (frame, _visits), after in zip(cols, full, lexhmm.windows(len(cols)), back):
+            _step(every, col, tokens, tokens)
             met.append(min((tokens[j] + after[j] for j, _p in frame), default=math.inf))
         best = [k for k, _f in _best_final(lexhmm, tokens)] or [math.inf]
         assert met == best * len(obs), f"seed {seed}"
 
 
 def test_reach_tables_are_computed_once_per_lexicon_hmm(monkeypatch):
-    # Only n-best decodes read the tables; every one after the first reads
-    # the tables the first computed, and none changes them.
+    # Only decodes that read the time window read the tables: n-best and the
+    # windowed 1-best.  Every one after the first reads the tables the first
+    # computed, and none changes them.
     calls = []
     monkeypatch.setattr(
         "flcva.lexhmm.reach_tables", lambda lexhmm: calls.append(1) or reach_tables(lexhmm)
@@ -583,6 +645,8 @@ def test_reach_tables_are_computed_once_per_lexicon_hmm(monkeypatch):
         for decode in (nbest_naive, nbest_improved):
             for n in (2, lexhmm.automaton.word_count):
                 decode(lexhmm, obs, n)
+        for decode in VARIANTS.values():
+            decode(lexhmm, obs)
     assert len(calls) == 1
     assert lexhmm.reach == reach_tables(lexhmm)
     # The tables are no field: an HMM that holds them equals one that does not.

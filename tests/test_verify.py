@@ -4,7 +4,7 @@ import pytest
 
 from flcva import Lexicon, build_trie, minimize, nbest_improved
 from flcva.bench import generate_sequences
-from flcva.decode import VARIANTS
+from flcva.decode import VARIANTS, viterbi_tabular
 from flcva.oracle import nbest_exhaustive
 from flcva.pph import annotate_increments, compute_suff
 from flcva.verify import _check_bijection, run_verify
@@ -83,14 +83,17 @@ def _more_ops(result):
     result.ops += 10**6
 
 
-# (edits of 1-best variants by name, edit of improved n-best, number of the
-#  failing check, text of the failure); check 1 is the bijection
+# (edits of 1-best variants by name, "reference" naming the full-relaxation
+#  tabular decoder, edit of improved n-best, number of the failing check,
+#  text of the failure); check 1 is the bijection
 FAILURES = [
     ({"inplace": _drop_first_row}, None, 2, "1-best mismatch: tabular="),
-    (dict.fromkeys(VARIANTS, _misspell), None, 3, "token path index "),
+    (dict.fromkeys([*VARIANTS, "reference"], _misspell), None, 3, "token path index "),
     ({}, _drop_first_row, 4, "-best mismatch: naive="),
     ({}, _more_merges, 5, "improved merges "),
     ({}, _more_ops, 6, "improved ops "),
+    # a fault shared by every windowed variant differs from the reference
+    (dict.fromkeys(VARIANTS, _misspell), None, 2, "full-relaxation tabular="),
 ]
 
 
@@ -98,7 +101,10 @@ FAILURES = [
 def test_each_failure_kind_is_reported(toy_lexicon, monkeypatch, variant_edits, improved_edit,
                                        checks, text):
     for name, edit in variant_edits.items():
-        monkeypatch.setitem(VARIANTS, name, _edited(VARIANTS[name], edit))
+        if name == "reference":
+            monkeypatch.setattr("flcva.verify.viterbi_tabular", _edited(viterbi_tabular, edit))
+        else:
+            monkeypatch.setitem(VARIANTS, name, _edited(VARIANTS[name], edit))
     if improved_edit is not None:
         monkeypatch.setattr("flcva.verify.nbest_improved",
                             _edited(nbest_improved, improved_edit))
