@@ -13,11 +13,10 @@ relaxation, and ops counts the window's predecessor visits.  Called
 directly, they relax every state by default: ops is then T times the
 predecessor count, the work the work-scaling checks predict.  The n-best
 loop merges only live states: the successors of the previous frame's
-token holders that can still reach a word end by the last frame.  A state
-left out would merge only empty lists, so the counters are those of every
-state in that time window.  Below n = W the loop cuts every token whose
-best completion, from one backward pass over the same windows, cannot
-reach the top n.
+token holders that can still reach a word end by the last frame.  Below
+n = W the loop cuts every token whose best completion, from one backward
+pass over the same windows, cannot reach the top n, and leaves out a
+successor whose every token that cut would remove.
 Each frame reads one emission column, LexiconHMM.emissions[symbol], and a
 sequence's columns are looked up before its first frame runs.
 
@@ -57,8 +56,9 @@ class DecodeResult:
     ranking: list = field(default_factory=list)
     # 1-best counts the states it relaxes: those in the time window with
     # window=True (the CLI's), else every state at every frame; n-best only
-    # the live states it merges, reading the tokens its completion bound
-    # left, and not its backward pass (see _nbest).
+    # the live states it merges (not those its completion bound would cut
+    # empty), reading the tokens the bound left, and not its backward pass
+    # (see _nbest).
     ops: int = 0            # 1-best: predecessor visits; n-best: candidate tokens read
     merges: int = 0         # token-list merge operations
     token_slots: int = 0    # peak token storage (n-best: tokens alive)
@@ -278,9 +278,10 @@ def _nbest(lexhmm: LexiconHMM, obs, n: int, merge_state) -> DecodeResult:
     e(j) <= T - 1 - t (see lexhmm.reach_tables); every other state gets an
     empty list.
     A state past T - 1 - e(j) feeds only states past theirs, so each live
-    state reads the lists a full relaxation would give it.  A state left
-    out would merge only empty lists, which counts nothing, so the counters
-    are those of merging every state with d(j) <= t <= T - 1 - e(j).
+    state reads the lists a full relaxation would give it.  At n >= W a
+    state left out would merge only empty lists, which counts nothing, so
+    the counters are those of merging every state with
+    d(j) <= t <= T - 1 - e(j).
 
     Below n = W the merged lists are then cut by an exact completion
     bound.  A backward pass first gives B = back[t][j], the best completion
@@ -292,11 +293,18 @@ def _nbest(lexhmm: LexiconHMM, obs, n: int, merge_state) -> DecodeResult:
     cut; cutting a token only takes a competitor out of later lists, and
     every token left is still a real path of its pph.  U takes in a whole
     frame before that frame's lists are cut, so the cuts do not depend on
-    the order in which a frame's states are merged.  Rankings are
-    unchanged, and the counters count the merges' work, not the backward
-    pass.  At n >= W, U forms only once every word has a completion, so the
-    pass and the bound are skipped: the all-words work stays the same on a
-    trie and a DAWG.
+    the order in which a frame's states are merged.
+    The bound also narrows the live set: a successor j of holder i is
+    merged only if prev[i][0] + col[j] + B <= U, with U as the previous
+    frame left it (math.inf until n completions are seen).  Transitions and
+    pph increments never lower a token, so every token j can take from i is
+    at least prev[i][0] + col[j], and U only falls: when no holder passes,
+    the frame's cut would empty j's list.  So rankings, the kept lists and
+    token_slots are those of merging every windowed state, and the
+    counters count the merges' work, without the merges the bound rules
+    out and without the backward pass.  At n >= W, U forms only once every
+    word has a completion, so the pass and the bound are skipped: the
+    all-words work stays the same on a trie and a DAWG.
 
     n = 1 runs the windowed in-place 1-best kernel instead, counters and
     all: both break score ties toward the smaller pph, so its one token is
@@ -317,12 +325,18 @@ def _nbest(lexhmm: LexiconHMM, obs, n: int, merge_state) -> DecodeResult:
     else:
         back = [None] * len(cols)
     top: list = []  # the n best completions seen, one per pph
+    bound = INF  # U: top's n-th token once top is full
     # START (-1) reads the trailing list: one token for the first frame only.
     prev: list = [()] * len(preds) + [[0]]
     holders = [START]  # the states whose lists feed the next frame
     held = 0  # tokens in prev, START's left out
     for left, col, after in zip(range(len(cols) - 1, -1, -1), cols, back):
-        live = {j for i in holders for j in succ[i] if e[j] <= left}
+        if bounded:
+            # r: the most col[j] + B may add to holder i's best token within U
+            live = {j for i in holders for r in (bound - prev[i][0],) for j in succ[i]
+                    if e[j] <= left and col[j] + after[j] <= r}
+        else:
+            live = {j for i in holders for j in succ[i] if e[j] <= left}
         cur: list = [()] * len(prev)
         for j in live:
             cur[j] = merge_state(prev, preds[j], col[j], n, mask, res)
@@ -382,7 +396,9 @@ def _merge_improved(prev: list, preds_j, e, n: int, mask: int, res: DecodeResult
         # Every token fits, so the list never fills and no quick reject
         # fires: the rank loop would read and merge every token, and one
         # sort gives the same list.
-        lst = _top_n([k + w for src, w in live for k in src], n, mask)
+        lst = [k + w for src, w in live for k in src]
+        if total > 1:
+            lst = _top_n(lst, n, mask)
         reads = merges = total
     else:
         lst, reads, merges = _merge_ranks(live, n, mask)

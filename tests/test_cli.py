@@ -242,14 +242,15 @@ GOLDEN_DECODE = {
 # ops=0 merges=0 token_slots=0 emission_adds=0
 """,
     # The rank rows are those of a run without the completion bound; the
-    # trailers count the work left after its cuts.
+    # trailers count the work left after its cuts, and no merge of a state
+    # whose every token the bound would cut.
     ("--variant", "nbest-naive", "--nbest", "2"): """\
 1 bcd 3 -3.92342438456
 2 bc 4 -9.50984040322
-# ops=26 merges=26 token_slots=5 emission_adds=26
+# ops=20 merges=20 token_slots=5 emission_adds=20
 1 ab 0 -2.49672460835
 2 bb 2 -6.3885449064
-# ops=11 merges=11 token_slots=4 emission_adds=11
+# ops=9 merges=9 token_slots=4 emission_adds=9
 # ops=0 merges=0 token_slots=0 emission_adds=0
 """,
 }

@@ -415,8 +415,8 @@ def _full_nbest(lexhmm, obs, n, merge_state):
 
 def _windowed_nbest(lexhmm, obs, n, merge_state):
     """_nbest with every state in the time window merged at every frame,
-    holding a token or not: the reference the live set must match,
-    counters included."""
+    holding a token or not, and the bound applied only after the merges:
+    the reference the live set must match, counters included at n = W."""
     res = DecodeResult()
     mask = (1 << lexhmm.pph_bits) - 1
     cols = _columns(lexhmm, obs)
@@ -571,17 +571,48 @@ def test_completion_bound_keeps_rankings_and_cuts_work(case, data):
 @settings(max_examples=200, deadline=None)
 @given(_small_lexicon_cases(self_loops=(0.0, 0.3, 0.5), peaks=(1 / 3, 0.7, 1.0)), st.data())
 def test_live_set_does_the_work_of_the_whole_window(case, data):
-    # A windowed state outside the live set has no predecessor holding a
-    # token, so merging it reads nothing and counts nothing: the live set
-    # gives the same ranking and exactly the same counters, below n = W
-    # (bounded) and at n = W.
+    # A windowed state outside the live set either has no predecessor
+    # holding a token, so merging it would read nothing, or (below n = W)
+    # every token a predecessor could pass it already fails the bound of
+    # the frame before, which only falls, so the cut would empty its list.
+    # At n = W the live set gives the same ranking and exactly the same
+    # counters; below it the same ranking and token_slots for at most the
+    # work.  Improved reads and merges at most the tokens naive does.
     lex, hmms, cfg, obs = case
     w = lex.word_count
-    n = data.draw(st.sampled_from(sorted({2, 3, w - 1, w} & set(range(2, w + 1)))))
+    ns = [w] + ([data.draw(st.integers(2, w - 1))] if w > 2 else [])
     for auto in (build_trie(lex), build_dawg(lex)):
         lexhmm = _lexhmm(auto, hmms, cfg)
-        for merge in (_merge_naive, _merge_improved):
-            assert _nbest(lexhmm, obs, n, merge) == _windowed_nbest(lexhmm, obs, n, merge)
+        for n in ns:
+            naive, improved = (_nbest(lexhmm, obs, n, merge) for merge in (_merge_naive, _merge_improved))
+            for merge, live in ((_merge_naive, naive), (_merge_improved, improved)):
+                whole = _windowed_nbest(lexhmm, obs, n, merge)
+                if n == w:
+                    assert live == whole
+                    continue
+                assert live.ranking == whole.ranking
+                assert live.token_slots == whole.token_slots
+                for name in ("ops", "merges", "emission_adds"):
+                    assert getattr(live, name) <= getattr(whole, name), name
+            assert improved.ops <= naive.ops
+            assert improved.merges <= naive.merges
+
+
+def test_live_set_bound_reads_each_holders_best_token():
+    # A holder's best token is the least any successor can take from it.
+    # Testing its worst token instead would leave out a state whose best
+    # token survives the cut: here the DAWG at n = 4 would hold 16 tokens at
+    # its peak, not 17.
+    lex = Lexicon.from_words(["ab", "babb", "bba", "bcb", "cb"])
+    cfg = HmmConfig(alphabet=tuple("abc"), states_per_letter=1,
+                    self_loop_prob=0.3, emission_peak=0.7)
+    lexhmm = _lexhmm(build_dawg(lex), make_letter_hmms("abc", cfg), cfg)
+    obs = list("bccabbbabbbbca")
+    for merge in (_merge_naive, _merge_improved):
+        live, whole = _nbest(lexhmm, obs, 4, merge), _windowed_nbest(lexhmm, obs, 4, merge)
+        assert live.ranking == whole.ranking
+        assert live.token_slots == whole.token_slots == 17
+        assert live.ops < whole.ops
 
 
 @pytest.mark.parametrize("merge", [_merge_naive, _merge_improved], ids=["naive", "improved"])
@@ -672,8 +703,11 @@ def test_shared_reach_tables_decode_like_fresh_ones(case, data):
 @given(_small_lexicon_cases())
 def test_all_words_trie_and_dawg_do_the_same_work(case):
     # At n = W no token is dropped, and a DAWG state holds one token per
-    # prefix that reaches it, which is one trie state: both structures read,
-    # hold and extend the same tokens.  Improved's merges may differ (below).
+    # prefix that reaches it, which is one trie state: both structures hold
+    # and extend the same tokens, and naive reads and merges the same ones.
+    # Improved's quick reject fires only in a full list, which a DAWG state
+    # gathering several trie states' tokens can fill, so its ops and merges
+    # may differ (below), but never exceed naive's.
     lex, hmms, cfg, obs = case
     trie, dawg = (_lexhmm(b(lex), hmms, cfg) for b in (build_trie, build_dawg))
     w = lex.word_count
@@ -682,8 +716,10 @@ def test_all_words_trie_and_dawg_do_the_same_work(case):
     assert naive[0].ranking == naive[1].ranking == improved[0].ranking == improved[1].ranking
     for name in _COUNTERS:
         assert getattr(naive[0], name) == getattr(naive[1], name), name
-    for name in ("ops", "token_slots", "emission_adds"):
+    for name in ("token_slots", "emission_adds"):
         assert getattr(improved[0], name) == getattr(improved[1], name), name
+    for naive_one, improved_one in zip(naive, improved):
+        assert improved_one.ops <= naive_one.ops
 
 
 def test_all_words_improved_merges_differ_between_trie_and_dawg():
@@ -702,6 +738,25 @@ def test_all_words_improved_merges_differ_between_trie_and_dawg():
     assert trie.ranking == dawg.ranking
     assert [getattr(trie, name) for name in _COUNTERS] == [184, 184, 18, 108]
     assert [getattr(dawg, name) for name in _COUNTERS] == [184, 179, 18, 108]
+
+
+def test_all_words_improved_ops_differ_between_trie_and_dawg():
+    # The DAWG's shared suffix 'aa' gathers both words' tokens and fills
+    # lists of n = W = 2, where the quick reject skips a token; a trie state
+    # holds one prefix's token, so no trie list fills.  Naive reads every
+    # token on both.
+    lex = Lexicon.from_words(["aaaaa", "aacaa"])
+    cfg = HmmConfig(alphabet=tuple("abc"), states_per_letter=1,
+                    self_loop_prob=0.3, emission_peak=0.4)
+    hmms = make_letter_hmms("abc", cfg)
+    obs = list("aaacaa")
+    trie, dawg = (_lexhmm(b(lex), hmms, cfg) for b in (build_trie, build_dawg))
+    naive = nbest_naive(trie, obs, 2), nbest_naive(dawg, obs, 2)
+    improved = nbest_improved(trie, obs, 2), nbest_improved(dawg, obs, 2)
+    assert naive[0].ranking == naive[1].ranking == improved[0].ranking == improved[1].ranking
+    assert [[getattr(r, name) for name in _COUNTERS] for r in naive] == [[23, 23, 8, 23]] * 2
+    assert [getattr(improved[0], name) for name in _COUNTERS] == [23, 23, 8, 16]
+    assert [getattr(improved[1], name) for name in _COUNTERS] == [22, 19, 8, 16]
 
 
 def test_nbest_single_word_onehot(toy_lexhmm_onehot):
