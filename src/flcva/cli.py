@@ -18,11 +18,11 @@ from itertools import chain
 
 from .automaton import (
     AutomatonError,
+    Lexicon,
     UnsortedWords,
     build_dawg,
     build_trie,
     parse_automaton,
-    read_wordlist,
     serialize_automaton,
 )
 from .bench import CSV_HEADER, generate_sequences, run_bench
@@ -37,10 +37,6 @@ class InputError(Exception):
     """Unusable input file or option combination (exit code 2)."""
 
 
-# characters per read when a word list is streamed
-_BLOCK = 1 << 16
-
-
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -50,19 +46,15 @@ def _read(path: str) -> str:
 
 
 def _stream_words(path: str):
-    """The words read_wordlist(_read(path)) would see, in file order, read in
-    blocks: each line stripped, blank lines dropped, no sort."""
+    """The words of a word list in file order, read a line at a time: each
+    line stripped, blank lines dropped, no sort.  The text file ends a line
+    at LF, CRLF or a lone CR, and drops a leading byte-order mark."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            tail = ""
-            while block := fh.read(_BLOCK):
-                lines = (tail + block).split("\n")
-                tail = lines.pop()  # the line the next block may go on with
-                yield from filter(None, map(str.strip, lines))
-            yield from filter(None, [tail.strip()])
+            yield from filter(None, map(str.strip, fh))
     except (OSError, UnicodeDecodeError) as exc:
         if isinstance(exc, UnicodeDecodeError):
-            _read(path)  # raises with the bad byte's offset in the file, not in a block
+            _read(path)  # raises with the bad byte's offset in the file, not in the chunk decoded
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -83,7 +75,7 @@ def _at_least(low: int, args, *names: str) -> None:
 
 
 def _load_lexicon(path: str):
-    lexicon = read_wordlist(_read(path))
+    lexicon = Lexicon.from_words(_stream_words(path))
     if lexicon.word_count == 0:
         raise InputError(f"word list {path} is empty")
     return lexicon
@@ -362,7 +354,3 @@ def main(argv=None) -> int:
         pass  # reported below: the exception holds what filled memory until left
     print(f"error: out of memory in {args.command}: the input is too large", file=sys.stderr)
     return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

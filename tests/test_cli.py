@@ -19,7 +19,7 @@ from flcva.automaton import (
     Lexicon, build_dawg, build_trie, minimize, parse_automaton, read_wordlist, serialize_automaton,
 )
 from flcva.bench import generate_sequences
-from flcva.cli import _BLOCK, main
+from flcva.cli import main
 from flcva.decode import NBEST_VARIANTS, VARIANTS, DecodeResult, format_result
 from flcva.hmm import read_observations
 from flcva.hmm import HmmConfig, format_config, format_observations, make_letter_hmms, parse_config
@@ -136,19 +136,18 @@ def test_build_is_deterministic(toy_paths):
 
 
 def test_build_streams_a_sorted_list(tmp_path, monkeypatch):
-    # 10,800 words in 97,200 bytes: a word straddles the first block boundary
+    # 10,800 words in 97,200 bytes, more than one read of the file
     lex = synthetic_lexicon(120, 90)
     text = "\n".join(lex) + "\n"
-    assert "\n" not in text[_BLOCK - 1 : _BLOCK + 1]
     plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
     plain.write_text(text)
     # a byte-order mark is not part of the first word, CRLF ends a line
     marked.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())
 
-    def no_list(_text):
-        raise AssertionError("build held the whole word list")
+    def no_sort(_path):
+        raise AssertionError("build sorted a sorted word list")
 
-    monkeypatch.setattr("flcva.cli.read_wordlist", no_list)
+    monkeypatch.setattr("flcva.cli._load_lexicon", no_sort)
     for mode, build in (("--dawg", build_dawg), ("--trie", build_trie)):
         expected = _automaton_file(build(lex))
         for words in (plain, marked):
@@ -162,7 +161,7 @@ def test_build_streams_a_sorted_list(tmp_path, monkeypatch):
     st.lists(st.text(alphabet="ab\u00e9", min_size=1, max_size=5), min_size=1, max_size=30),
     st.sampled_from(["sorted", "sorted-unique", "shuffled"]),
     st.lists(st.sampled_from(["", "  ", "\t"]), max_size=4),
-    st.sampled_from(["\n", "\r\n"]),
+    st.sampled_from(["\n", "\r\n", "\r"]),
     st.randoms(),
 )
 def test_build_file_is_the_library_build_property(words, order, blanks, newline, rnd):
@@ -177,7 +176,8 @@ def test_build_file_is_the_library_build_property(words, order, blanks, newline,
     for blank in blanks:
         lines.insert(rnd.randrange(len(lines) + 1), blank)
     text = newline.join(lines) + rnd.choice(["", newline])
-    lex = read_wordlist(text)
+    # open() ends a line at LF, CRLF and a lone CR alike
+    lex = read_wordlist(text.replace("\r\n", "\n").replace("\r", "\n"))
     with tempfile.TemporaryDirectory() as tmp:
         wordlist, out = Path(tmp, "words.txt"), Path(tmp, "x.auto")
         wordlist.write_bytes(text.encode())
@@ -629,15 +629,20 @@ def test_word_with_whitespace_exits_2(toy_paths, capsys):
 
 
 def test_undecodable_word_list_exits_2(toy_paths, capsys):
-    # past the first block too, the error gives the bad byte's offset in the
-    # file, not in its block
-    wordlist, _config, tmp = toy_paths
+    # past the first chunk the file object decodes too, the error gives the
+    # bad byte's offset in the file, not in its chunk; every command that
+    # reads a word list reads it the same way
+    wordlist, config, tmp = toy_paths
+    commands = (["build", wordlist, tmp / "x.auto", "--dawg"], ["gen", wordlist, config, tmp / "obs.txt"],
+                ["verify", wordlist, config], ["bench", wordlist, config])
     for text in ("ab\n", "\n".join(synthetic_lexicon(120, 90)) + "\n"):
         wordlist.write_bytes(text.encode() + b"\xff\n")
-        assert main(["build", str(wordlist), str(tmp / "x.auto"), "--dawg"]) == 2
-        assert capsys.readouterr().err == (
-            f"error: cannot read {wordlist}: 'utf-8' codec can't decode byte 0xff "
-            f"in position {len(text)}: invalid start byte\n")
+        for argv in commands:
+            assert main(list(map(str, argv))) == 2
+            assert capsys.readouterr() == ("", (
+                f"error: cannot read {wordlist}: 'utf-8' codec can't decode byte 0xff "
+                f"in position {len(text)}: invalid start byte\n"))
+    assert not (tmp / "x.auto").exists() and not (tmp / "obs.txt").exists()
 
 
 def test_byte_order_mark_is_not_read_as_text(toy_paths, capsys):
@@ -908,7 +913,7 @@ def test_child_out_of_memory_fails_in_the_parent_with_one_error_line(
 def _flcva(argv: list, **kwargs) -> subprocess.Popen:
     """`flcva <argv>` started in a new interpreter on this checkout's sources."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    return subprocess.Popen([sys.executable, "-m", "flcva.cli", *map(str, argv)], env=env, **kwargs)
+    return subprocess.Popen([sys.executable, "-m", "flcva", *map(str, argv)], env=env, **kwargs)
 
 
 def _one_cpu() -> None:
