@@ -145,6 +145,11 @@ def _decode_entries(decode, entries, write) -> None:
 # 15-sequence suffix10k benchmark part is 56 % of its estimate (117,450 to
 # 122,310 units over seeds 1-12), under this bound on 7 of the 12.  A
 # windowed estimate needs a bound measured anew, in its own units.
+# The 47-115 ns rates predate the step that starts each state from its own
+# self-loop token; the bound stays as measured.  Since then the windowed
+# in-place decode of the seed-1 benchmark sequences takes a median 49 ns a
+# full-relaxation unit on suffix10k and 36 ns on suffix100k, against 52
+# and 40 ns before (four processes, each the best of 60, on the same VM).
 _MIN_SHARE_WORK = 60_000
 
 

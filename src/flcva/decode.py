@@ -3,20 +3,22 @@
 Variants: tabular (full lattice + backtracking, the reference), flip-flop
 (two token arrays), in-place (one token array), and n-best with naive and
 improved merging.  Every 1-best variant runs the same frame step, which
-scans a frame's states in reverse topological order; in-place differs only
-in reading and writing one array.  With window=True, as the CLI runs them
-(VARIANTS), the 1-best kernels relax at frame t of T only the states with
-d(j) <= t <= T - 1 - e(j), the time window (LexiconHMM.windows).  A state
-outside its window keeps a stale token, but only states outside their own
-windows read it, so rankings and tabular's backtrack are those of the full
-relaxation, and ops counts the window's predecessor visits.  Called
-directly, they relax every state by default: ops is then T times the
-predecessor count, the work the work-scaling checks predict.  The n-best
-loop merges only live states: the successors of the previous frame's
-token holders that can still reach a word end by the last frame.  Below
-n = W the loop cuts every token whose best completion, from one backward
-pass over the same windows, cannot reach the top n, and leaves out a
-successor whose every token that cut would remove.
+scans a frame's states in reverse topological order, each state starting
+from its own token plus its self-loop (LexiconHMM.relax); in-place differs
+only in reading and writing one array.  With window=True, as the CLI runs
+them (VARIANTS), the 1-best kernels relax at frame t of T only the states
+with d(j) <= t <= T - 1 - e(j), the time window (LexiconHMM.windows).  A
+state outside its window keeps a stale token, but only states outside
+their own windows read it, so rankings and tabular's backtrack are those
+of the full relaxation, and ops counts the window's predecessor visits,
+self-loops included.  Called directly, they relax every state by default:
+ops is then T times the predecessor count, the work the work-scaling
+checks predict.  The n-best loop merges only live states: the successors
+of the previous frame's token holders that can still reach a word end by
+the last frame.  Below n = W the loop cuts every token whose best
+completion, from one backward pass over the same windows, cannot reach
+the top n, and leaves out a successor whose every token that cut would
+remove.
 Each frame reads one emission column, LexiconHMM.emissions[symbol], and a
 sequence's columns are looked up before its first frame runs.
 
@@ -100,19 +102,21 @@ def _tokens(n_states: int) -> list:
 def _step(window, col, src, dst) -> int:
     """One frame of min-plus relaxation over window, a (states, visits)
     pair (see lexhmm.window_lists), emissions read from the frame's column
-    col; returns visits, the predecessor entries read.
+    col; returns visits, the predecessor entries read, self-loops included.
 
-    For each (j, preds[j]) in states, the least source token plus
-    transition over preds[j] (the best score, ties to the smaller pph) gets
-    col[j] and is written to dst; a strict compare keeps the first such
-    predecessor.  States come in reverse topological order, each after all
-    of its successors, so src may be dst: no token is overwritten before it
-    has been read.
+    For each relaxation entry (j, loop, others) in states (see
+    LexiconHMM.relax), the least source token plus transition over preds[j]
+    (the best score, ties to the smaller pph) gets col[j] and is written to
+    dst.  The scan starts from src[j] + loop, j's own token over its
+    self-loop, and reads the others after it; equal sums are equal tokens,
+    so which predecessor gives the least does not matter.  States come in
+    reverse topological order, each after all of its successors, so src may
+    be dst: no token is overwritten before it has been read.
     """
     states, visits = window
-    for j, preds_j in states:
-        best = INF
-        for i, w in preds_j:
+    for j, loop, others in states:
+        best = src[j] + loop
+        for i, w in others:
             c = src[i] + w
             if c < best:
                 best = c
@@ -123,11 +127,11 @@ def _step(window, col, src, dst) -> int:
 
 def _relaxed(lexhmm: LexiconHMM, n_frames: int, window: bool) -> list:
     """Each frame's (states, visits) for _step: the time window's
-    (LexiconHMM.windows), or else every state at every frame."""
+    (LexiconHMM.windows), or else every state's relaxation entry
+    (LexiconHMM.relax) at every frame, last state first."""
     if window:
         return lexhmm.windows(n_frames)
-    every = list(zip(range(lexhmm.n_states - 1, -1, -1), reversed(lexhmm.preds)))
-    return [(every, lexhmm.n_arcs)] * n_frames
+    return [(lexhmm.relax[::-1], lexhmm.n_arcs)] * n_frames
 
 
 def _top_n(cands: list, n: int, mask: int) -> list:
@@ -240,6 +244,12 @@ def _completions(lexhmm: LexiconHMM, cols: list) -> list:
     sink-arc increment, and each earlier frame relaxes every predecessor of
     the next frame's windowed states.  back[t][j] is exact for every state
     j in frame t's window.
+
+    A frame walks its window in state order.  Each state j first writes
+    cur[j] from its own self-loop, then pushes its rest to its other
+    predecessors, all of lower index; the states that push to j come after
+    it, so nothing has written cur[j] before.  A dead rest pushes math.inf,
+    which lowers nothing, so no state is tested for one.
     """
     if not cols:
         return []
@@ -251,15 +261,14 @@ def _completions(lexhmm: LexiconHMM, cols: list) -> list:
     for t in range(len(cols) - 1, 0, -1):
         col = cols[t]
         cur = [INF] * len(after)
-        # State order: the lists' reverse order made the pass about 5 %
-        # slower on the suffix100k benchmark lexicon.
-        for j, preds_j in reversed(windows[t][0]):
+        # State order, which the unconditional self-loop write needs.
+        for j, loop, others in reversed(windows[t][0]):
             rest = col[j] + after[j]
-            if rest != INF:
-                for i, w in preds_j:
-                    c = w + rest
-                    if c < cur[i]:
-                        cur[i] = c
+            cur[j] = loop + rest
+            for i, w in others:
+                c = w + rest
+                if c < cur[i]:
+                    cur[i] = c
         back.append(cur)
         after = cur
     back.reverse()

@@ -42,11 +42,14 @@ class LexiconHMM:
     transition: its cost and the arc's pph increment); emissions[s][j] is
     state j's packed emission cost (pph 0) for symbol s, so a frame reads
     one column emissions[s]; finals holds (exit state, sink-arc pph
-    increment).
+    increment).  expand appends a state's self-loop last, so preds[j][-1] is
+    (j, its packed self-loop weight) and no earlier entry of preds[j] names
+    j.
     n_arcs is the total length of the preds lists.  reach, the time window's
-    tables, is computed on first use and is not a field, and windows keeps
-    its last result in a field left out of ==, so == compares the expansion
-    only.
+    tables, and relax, the relaxation entries (j, self-loop weight,
+    preds[j][:-1]) of every state, are computed on first use and are not
+    fields, and windows keeps its last result in a field left out of ==, so
+    == compares the expansion only.
     """
 
     automaton: NodeAutomaton
@@ -68,6 +71,14 @@ class LexiconHMM:
         """reach_tables(self), computed once per HMM, by the first decode
         that reads a time window, and shared read-only by every later one."""
         return reach_tables(self)
+
+    @cached_property
+    def relax(self) -> tuple:
+        """Each state's relaxation entry (j, self-loop weight, its other
+        predecessors preds[j][:-1]), by state; built once per HMM, so a
+        kernel starts state j from its own token plus its self-loop and
+        scans the other predecessors only."""
+        return tuple((j, preds_j[-1][1], preds_j[:-1]) for j, preds_j in enumerate(self.preds))
 
     def windows(self, n_frames: int) -> list:
         """window_lists(self, n_frames), kept for the last n_frames asked
@@ -116,9 +127,11 @@ def reach_tables(lexhmm: LexiconHMM) -> tuple[list, list, list]:
 
 def window_lists(lexhmm: LexiconHMM, n_frames: int) -> list:
     """Each of n_frames frames' time window as (states, visits): states
-    lists (j, preds[j]) for every state j with d(j) <= t <= T - 1 - e(j)
-    at frame t of T = n_frames (see reach_tables), in reverse state order,
-    and visits is the total length of those preds lists.
+    lists the relaxation entry (j, self-loop weight, preds[j][:-1]) (see
+    LexiconHMM.relax) of every state j with d(j) <= t <= T - 1 - e(j) at
+    frame t of T = n_frames (see reach_tables), in reverse state order, and
+    visits is the total length of those states' preds lists, self-loops
+    included.
 
     Outside its window a state holds no token yet (t < d(j)) or feeds only
     states past their own windows (t > T - 1 - e(j)), so a relaxation of
@@ -135,16 +148,15 @@ def window_lists(lexhmm: LexiconHMM, n_frames: int) -> list:
         # those of a span-frame sequence.
         short = window_lists(lexhmm, span)
         return short[:top_d] + short[top_d:top_d + 1] * (n_frames - span + 1) + short[top_d + 1:]
-    preds = lexhmm.preds
     lists: list = [[] for _ in range(n_frames)]
     change = [0] * (n_frames + 1)  # visits by differences: + from d(j), - past T - 1 - e(j)
-    for j, dj, ej, preds_j in zip(range(len(preds) - 1, -1, -1), reversed(d), reversed(e), reversed(preds)):
+    for entry, dj, ej in zip(reversed(lexhmm.relax), reversed(d), reversed(e)):
         if dj + ej < n_frames:  # else no path through j fits in T, or none exists
-            entry = (j, preds_j)
             for t in range(dj, n_frames - ej):
                 lists[t].append(entry)
-            change[dj] += len(preds_j)
-            change[n_frames - ej] -= len(preds_j)
+            visits = len(entry[2]) + 1  # the self-loop is a visit too
+            change[dj] += visits
+            change[n_frames - ej] -= visits
     return list(zip(lists, accumulate(change)))
 
 

@@ -420,7 +420,7 @@ def _windowed_nbest(lexhmm, obs, n, merge_state):
     res = DecodeResult()
     mask = (1 << lexhmm.pph_bits) - 1
     cols = _columns(lexhmm, obs)
-    frames = [states for states, _visits in lexhmm.windows(len(cols))]
+    frames = [[j for j, _loop, _others in states] for states, _visits in lexhmm.windows(len(cols))]
     bounded = n < lexhmm.automaton.word_count
     back = _completions(lexhmm, cols) if bounded else [None] * len(cols)
     top = []
@@ -428,17 +428,17 @@ def _windowed_nbest(lexhmm, obs, n, merge_state):
     held = 0
     for col, frame, after in zip(cols, frames, back):
         cur = [()] * len(prev)
-        for j, p in frame:
-            cur[j] = merge_state(prev, p, col[j], n, mask, res)
+        for j in frame:
+            cur[j] = merge_state(prev, lexhmm.preds[j], col[j], n, mask, res)
         if bounded:
-            top = _top_n(top + [cur[j][0] + after[j] for j, _p in frame
+            top = _top_n(top + [cur[j][0] + after[j] for j in frame
                                 if cur[j] and after[j] != math.inf], n, mask)
             if len(top) == n:
-                for j, _p in frame:
+                for j in frame:
                     if cur[j]:
                         del cur[j][bisect_right(cur[j], top[-1] - after[j]):]
         prev = cur
-        now = sum(len(cur[j]) for j, _p in frame)
+        now = sum(len(cur[j]) for j in frame)
         res.token_slots = max(res.token_slots, held + now)
         held = now
     res.ranking = _ranking(lexhmm, _top_n(
@@ -476,10 +476,12 @@ def _window_work(lexhmm, n_frames):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_small_lexicon_cases(), st.data())
+@given(_small_lexicon_cases(self_loops=(0.0, 0.3, 0.5)), st.data())
 def test_time_window_keeps_1best_rankings_and_visits_the_closed_form(case, data):
     # T runs from 0 to two frames past the longest word, below, at and
-    # above the shortest word's frame count included.  Windowed and full
+    # above the shortest word's frame count included.  Self-loop 0 gives
+    # every state a math.inf self-loop, the dead token each step starts
+    # from.  Windowed and full
     # relaxations give the same rankings, tabular's backtracked word
     # included; the windowed visits are the closed form's.  n-best at n = 1
     # is the CLI's in-place kernel, counters included.
@@ -505,8 +507,9 @@ def test_time_window_keeps_1best_rankings_and_visits_the_closed_form(case, data)
 @settings(max_examples=50, deadline=None)
 @given(_small_lexicon_cases())
 def test_window_lists_are_the_time_window_in_reverse_state_order(case):
-    # Frame t of T lists (j, preds[j]) for d(j) <= t <= T - 1 - e(j), last
-    # state first, with its predecessor entries' count.  The lists of the
+    # Frame t of T lists (j, self-loop weight, preds[j] without its
+    # self-loop) for d(j) <= t <= T - 1 - e(j), last state first, with its
+    # predecessor entries' count, self-loops included.  The lists of the
     # last T asked for are kept, and frames between the largest d and the
     # last max-e frames share one list, so a long sequence holds no more
     # lists than a short one.
@@ -520,14 +523,31 @@ def test_window_lists_are_the_time_window_in_reverse_state_order(case):
             assert lexhmm.windows(n_frames) is windows
             expected = []
             for t in range(n_frames):
-                states = [(j, lexhmm.preds[j]) for j in reversed(range(lexhmm.n_states))
+                states = [j for j in reversed(range(lexhmm.n_states))
                           if d[j] <= t <= n_frames - 1 - e[j]]
-                expected.append((states, sum(len(p) for _j, p in states)))
+                entries = [(j, lexhmm.preds[j][-1][1], lexhmm.preds[j][:-1]) for j in states]
+                expected.append((entries, sum(len(lexhmm.preds[j]) for j in states)))
             assert windows == expected
             assert sum(visits for _states, visits in windows) == _window_work(lexhmm, n_frames)
         long = lexhmm.windows(10_000)
         assert len(long) == 10_000
         assert len({id(states) for states, _visits in long}) <= top + 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(_small_lexicon_cases(self_loops=(0.0, 0.3, 0.5)))
+def test_every_state_ends_its_predecessors_with_its_self_loop(case):
+    # The kernels start each state from its own token over preds[j][-1]
+    # and scan preds[j][:-1] for the other predecessors (LexiconHMM.relax),
+    # so the self-loop must be last and the only entry that names j.
+    lex, hmms, cfg, _obs = case
+    for auto in (build_trie(lex), build_dawg(lex)):
+        lexhmm = _lexhmm(auto, hmms, cfg)
+        for j, preds_j in enumerate(lexhmm.preds):
+            assert preds_j[-1] == (j, preds_j[-1][1])
+            assert all(i != j for i, _w in preds_j[:-1])
+            assert lexhmm.relax[j] == (j, preds_j[-1][1], preds_j[:-1])
+        assert len(lexhmm.relax) == lexhmm.n_states
 
 
 @settings(max_examples=150, deadline=None)
@@ -653,7 +673,7 @@ def test_forward_and_backward_passes_meet_at_the_best_final_token():
         full = _relaxed(lexhmm, len(cols), window=False)
         for col, every, (frame, _visits), after in zip(cols, full, lexhmm.windows(len(cols)), back):
             _step(every, col, tokens, tokens)
-            met.append(min((tokens[j] + after[j] for j, _p in frame), default=math.inf))
+            met.append(min((tokens[j] + after[j] for j, _loop, _others in frame), default=math.inf))
         best = [k for k, _f in _best_final(lexhmm, tokens)] or [math.inf]
         assert met == best * len(obs), f"seed {seed}"
 
