@@ -26,7 +26,15 @@ from .automaton import (
     serialize_automaton,
 )
 from .bench import CSV_HEADER, generate_sequences, run_bench
-from .decode import NBEST_VARIANTS, VARIANTS, DecodeError, format_result
+from .decode import (
+    LANE_VARIANTS,
+    NBEST_VARIANTS,
+    VARIANTS,
+    DecodeError,
+    decode_file,
+    format_result,
+    lane_chunks,
+)
 from .hmm import HmmConfigError, format_observations, make_letter_hmms, parse_config, read_observations
 from .lexhmm import ExpansionError, expand
 from .pph import annotate_increments, compute_suff
@@ -122,16 +130,12 @@ def _nbest_arg(text: str):
         raise argparse.ArgumentTypeError(f"expected an integer or 'all', not {text!r}") from None
 
 
-def _decode_entries(decode, entries, write) -> None:
+def _decode_entries(decode, sequences, write) -> None:
     """Write each sequence's result block, or an `# error:` line for a
-    sequence the decoder rejects."""
-    for symbols, _truth in entries:
-        try:
-            result = decode(symbols)
-        except DecodeError as exc:
-            write(f"# error: {exc}\n")
-            continue
-        write(format_result(result))
+    sequence the decoder rejects, in order; decode(sequences) gives the
+    results (decode.decode_file)."""
+    for result in decode(sequences):
+        write(f"# error: {result}\n" if isinstance(result, DecodeError) else format_result(result))
 
 
 # Decode work is estimated as frames x predecessor entries (LexiconHMM.n_arcs).
@@ -150,6 +154,11 @@ def _decode_entries(decode, entries, write) -> None:
 # in-place decode of the seed-1 benchmark sequences takes a median 49 ns a
 # full-relaxation unit on suffix10k and 36 ns on suffix100k, against 52
 # and 40 ns before (four processes, each the best of 60, on the same VM).
+# A file in which an in-place or flip-flop lane chunk runs (decode.lane_chunks)
+# decodes in one process: decode.LANE_MIN is where lanes in one process beat
+# this forking path with two CPUs (6 suffix100k sequences of 40 frames:
+# 29.8 ms forking, 29.5 ms in lanes; 7: 35.4 and 30.3 ms, best of 15), and
+# lanes in both halves of a fork lost to lanes in one process.
 _MIN_SHARE_WORK = 60_000
 
 
@@ -191,15 +200,15 @@ def _fork_share(decode, share):
     return pid, open(read_fd, encoding="utf-8", newline="")
 
 
-def _fan_out(decode, entries: list) -> None:
-    """Decode the second half of entries in a forked child while this process
+def _fan_out(decode, sequences: list) -> None:
+    """Decode the second half of sequences in a forked child while this process
     decodes the first, then write the child's text after its own.  A half
     whose child could not be started or did not exit with 0 is decoded here
     instead, so a failure looks as it would in one process."""
-    cut = len(entries) // 2
-    child = _fork_share(decode, entries[cut:])
+    cut = len(sequences) // 2
+    child = _fork_share(decode, sequences[cut:])
     try:
-        _decode_entries(decode, entries[:cut], sys.stdout.write)
+        _decode_entries(decode, sequences[:cut], sys.stdout.write)
         if child is not None:
             pid, pipe = child
             with pipe:
@@ -209,7 +218,7 @@ def _fan_out(decode, entries: list) -> None:
             if status == 0:
                 sys.stdout.write(text)
                 return
-        _decode_entries(decode, entries[cut:], sys.stdout.write)
+        _decode_entries(decode, sequences[cut:], sys.stdout.write)
     finally:
         if child is not None:  # something above raised, the wait included
             pid, pipe = child
@@ -228,7 +237,7 @@ def cmd_decode(args) -> int:
     config = _load_config(args.config)
     letter_hmms = make_letter_hmms(auto.letters, config)
     lexhmm = expand(auto, increments, letter_hmms, config)
-    entries = read_observations(_read(args.obs))
+    sequences = [symbols for symbols, _truth in read_observations(_read(args.obs))]
     if args.variant in VARIANTS:
         decoder = partial(VARIANTS[args.variant], lexhmm)
     else:
@@ -245,13 +254,17 @@ def cmd_decode(args) -> int:
             + (slots if args.variant == "tabular" else "")
         )
 
+    arrays = LANE_VARIANTS.get(args.variant, 0)
+    decode_all = partial(decode_file, lexhmm, decode=decode, arrays=arrays)
     # Sequences are independent: a child decodes the second half of the file
-    # when each half is worth a fork.
-    work = sum(len(symbols) for symbols, _truth in entries) * lexhmm.n_arcs
-    if _usable_cpus() > 1 and len(entries) > 1 and work >= 2 * _MIN_SHARE_WORK:
-        _fan_out(decode, entries)
+    # when each half is worth a fork, unless some of its sequences decode
+    # together in lanes.
+    work = sum(map(len, sequences)) * lexhmm.n_arcs
+    lanes = arrays and lane_chunks(lexhmm, sequences)
+    if not lanes and _usable_cpus() > 1 and len(sequences) > 1 and work >= 2 * _MIN_SHARE_WORK:
+        _fan_out(decode_all, sequences)
     else:
-        _decode_entries(decode, entries, sys.stdout.write)
+        _decode_entries(decode_all, sequences, sys.stdout.write)
     return 0
 
 

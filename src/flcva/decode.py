@@ -21,6 +21,11 @@ the top n, and leaves out a successor whose every token that cut would
 remove.
 Each frame reads one emission column, LexiconHMM.emissions[symbol], and a
 sequence's columns are looked up before its first frame runs.
+The CLI decodes a file through decode_file, which runs in-place and
+flip-flop in lanes: the file's sequences of one length, in chunks of
+LANE_MIN to LANE_CAP, decode together, each state's tokens one int of K
+lanes (decode_lanes, SWAR), with every lane's result bit-identical to the
+scalar kernel's; every other sequence runs the scalar kernel.
 
 A token is one int, `cost << pph_bits | pph`: cost is the path's negated
 log score in 2^-32 grid units and pph its path-history index (see
@@ -29,7 +34,8 @@ smaller path index, so every variant picks its winners with plain int
 compares and sorts, and all variants and the oracle are bit-comparable.
 Adding a packed transition or emission to a token adds costs and pphs
 separately; math.inf is the dead token, and stays dead under every
-addition.
+addition.  A lane cannot hold math.inf, so decode_lanes uses a finite
+dead token instead.
 """
 
 from __future__ import annotations
@@ -123,6 +129,28 @@ def _step(window, col, src, dst) -> int:
         dst[j] = best + col[j]
     dst[START] = INF  # START feeds the first frame only
     return visits
+
+
+def _lane_step(states, table, col, src, dst, high: int, shift: int, gone: int) -> None:
+    """_step over lanes (see decode_lanes): one frame of the window states,
+    every token an int of K lanes.  table[j] (LexiconHMM.lane_table) holds
+    state j's emission row, self-loop and other predecessors with their
+    weights spread over the lanes; col[r] is emission row r's lanes for the
+    frame.  The lane-wise min of best and c: d = (best | high) - c holds
+    2^(w-1) + best - c in each lane, so its guard bit (high) is set where
+    best >= c, and subtracting d's low bits there, best - c, leaves c;
+    no lane borrows from the next.  Equal lanes are equal tokens, as in
+    _step.  gone, every lane dead, is written to START.
+    """
+    for j, _loop, _others in states:
+        r, best, others = table[j]
+        best += src[j]
+        for i, w in others:
+            d = (best | high) - (src[i] + w)
+            g = d & high
+            best -= d & (g - (g >> shift))
+        dst[j] = best + col[r]
+    dst[START] = gone
 
 
 def _relaxed(lexhmm: LexiconHMM, n_frames: int, window: bool) -> list:
@@ -228,6 +256,119 @@ def viterbi_tabular(lexhmm: LexiconHMM, obs, window: bool = False) -> DecodeResu
     word = "".join(lexhmm.automaton.labels[node] for node, _ in groupby(reversed(nodes)))
     res.ranking = [(word, *_unpack(lexhmm, token))]
     return res
+
+
+# --- lanes -----------------------------------------------------------------
+
+# Token arrays per state of the CLI variants that decode in lanes.
+LANE_VARIANTS = {"flipflop": 2, "inplace": 1}
+LANE_MIN = 7  # the fewest sequences that decode together
+LANE_CAP = 64  # the most
+# The most lane bits one token array may hold, 32 MiB: a large trie's
+# groups get fewer lanes, or none, rather than many times a scalar array.
+LANE_BITS = 1 << 28
+
+
+def _lane_shape(lexhmm: LexiconHMM, n_frames: int) -> tuple[int, int]:
+    """(D, lane width in bytes) of an n_frames-frame lane decode (see
+    decode_lanes)."""
+    top_w, top_e = lexhmm.largest_costs
+    dead = 1 << ((n_frames + 1) * (top_w + top_e) + (2 << lexhmm.pph_bits)).bit_length()
+    return dead, (((n_frames + 2) * 2 * dead).bit_length() + 8) // 8  # the guard bit included
+
+
+def lane_chunks(lexhmm: LexiconHMM, sequences) -> list:
+    """The sequences that decode together, as lists of indices into
+    sequences.  A group holds the sequences of one length T >= 1 with no
+    symbol outside the alphabet, in order.  Its cap is LANE_CAP lanes, or
+    fewer where N lanes of its width would pass LANE_BITS; a group longer
+    than its cap is cut into the fewest chunks within it, their sizes a
+    sequence apart, so each holds at least half the cap.  Chunks of fewer
+    than LANE_MIN are left out."""
+    groups: dict = {}
+    emissions = lexhmm.emissions
+    for k, symbols in enumerate(sequences):
+        if symbols and all(s in emissions for s in symbols):
+            groups.setdefault(len(symbols), []).append(k)
+    chunks = []
+    for n_frames, group in groups.items():
+        if len(group) < LANE_MIN:
+            continue  # and the shape, which reads every weight once per HMM, is not needed
+        lane_bits = 8 * _lane_shape(lexhmm, n_frames)[1] * lexhmm.n_states
+        cap = min(LANE_CAP, LANE_BITS // lane_bits)
+        if cap < LANE_MIN:
+            continue
+        parts = -(-len(group) // cap)
+        cuts = [len(group) * p // parts for p in range(parts + 1)]
+        chunks += [group[a:b] for a, b in zip(cuts, cuts[1:]) if b - a >= LANE_MIN]
+    return chunks
+
+
+def decode_lanes(lexhmm: LexiconHMM, group: list, arrays: int = 1) -> list:
+    """Windowed 1-best results of K equal-length sequences decoded
+    together, one lane each, with arrays token arrays (1: in-place, 2:
+    flip-flop); each equals its sequence's viterbi_inplace or
+    viterbi_flipflop(window=True) result, counters included.
+
+    A state's K tokens are one int of K lanes of w bits, lane k holding
+    sequence k's token.  A lane cannot hold math.inf, so the dead token is
+    D, a power of two above (T + 1) x (the largest finite transition + the
+    largest finite emission) + 2^(pph_bits + 1), which no live token or
+    final token reaches; an inf weight adds D, so a lane holding at least D
+    is dead.  A frame adds at most 2D, so a lane stays below
+    (T + 2) x 2D, and w is that bound's bit length plus a guard bit,
+    rounded up to whole bytes: no add or lane-wise min carries into the
+    next lane.  A frame's emissions are one int per distinct emission row,
+    joined from each lane's bytes for its symbol.
+    """
+    n_frames, n_states, k_lanes = len(group[0]), lexhmm.n_states, len(group)
+    dead, width = _lane_shape(lexhmm, n_frames)
+    shift = 8 * width - 1
+    ones = int.from_bytes((b"\1" + bytes(width - 1)) * k_lanes, "little")
+    high, gone = ones << shift, dead * ones
+    table = lexhmm.lane_table(ones, dead)
+    emit = [{s: (dead if e == INF else e).to_bytes(width, "little") for s, e in row.items()}
+            for row in lexhmm.emission_rows[1]]
+    src = [gone] * n_states + [0]  # START (-1) holds 0 in every lane
+    dst = src if arrays == 1 else list(src)
+    visits = 0
+    for symbols, (states, frame_visits) in zip(zip(*group), lexhmm.windows(n_frames)):
+        col = [int.from_bytes(b"".join([row[s] for s in symbols]), "little") for row in emit]
+        _lane_step(states, table, col, src, dst, high, shift, gone)
+        src, dst = dst, src
+        visits += frame_visits
+    best = gone
+    for f, dpph in lexhmm.finals:  # the lane-wise min of _lane_step
+        d = (best | high) - (src[f] + dpph * ones)
+        g = d & high
+        best -= d & (g - (g >> shift))
+    lanes = best.to_bytes(k_lanes * width, "little")
+    results = []
+    for k in range(0, len(lanes), width):
+        token = int.from_bytes(lanes[k:k + width], "little")
+        results.append(DecodeResult(ranking=_ranking(lexhmm, [token] if token < dead else []),
+                                    ops=visits, token_slots=arrays * n_states))
+    return results
+
+
+def decode_file(lexhmm: LexiconHMM, sequences: list, decode, arrays: int = 0):
+    """Each sequence's result, or the DecodeError it raised, in order.
+    With arrays (LANE_VARIANTS), the sequences of each of lane_chunks'
+    chunks decode together (decode_lanes), once the first of them is
+    reached; decode(symbols) decodes every other sequence."""
+    chunks = {chunk[0]: chunk for chunk in lane_chunks(lexhmm, sequences)} if arrays else {}
+    done: dict = {}
+    for k, symbols in enumerate(sequences):
+        chunk = chunks.get(k)
+        if chunk:
+            done.update(zip(chunk, decode_lanes(lexhmm, [sequences[i] for i in chunk], arrays)))
+        result = done.pop(k, None)
+        if result is None:
+            try:
+                result = decode(symbols)
+            except DecodeError as exc:
+                result = exc
+        yield result
 
 
 # --- n-best ----------------------------------------------------------------

@@ -46,10 +46,11 @@ class LexiconHMM:
     (j, its packed self-loop weight) and no earlier entry of preds[j] names
     j.
     n_arcs is the total length of the preds lists.  reach, the time window's
-    tables, and relax, the relaxation entries (j, self-loop weight,
-    preds[j][:-1]) of every state, are computed on first use and are not
-    fields, and windows keeps its last result in a field left out of ==, so
-    == compares the expansion only.
+    tables, relax, the relaxation entries (j, self-loop weight,
+    preds[j][:-1]) of every state, and the lane decoder's emission_rows and
+    largest_costs are computed on first use and are not fields; windows and
+    lane_table keep their last results in fields left out of ==, so ==
+    compares the expansion only.
     """
 
     automaton: NodeAutomaton
@@ -61,6 +62,7 @@ class LexiconHMM:
     pph_bits: int
     n_arcs: int
     _windows: tuple = field(default=(), init=False, repr=False, compare=False)
+    _lane_table: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @property
     def n_states(self) -> int:
@@ -79,6 +81,45 @@ class LexiconHMM:
         kernel starts state j from its own token plus its self-loop and
         scans the other predecessors only."""
         return tuple((j, preds_j[-1][1], preds_j[:-1]) for j, preds_j in enumerate(self.preds))
+
+    @cached_property
+    def emission_rows(self) -> tuple[tuple, tuple]:
+        """(row, rows): rows holds the distinct emission rows, each a dict
+        from symbol to packed emission, and row[j] is the index of state j's
+        in rows.  A letter model's states share few rows, so a frame's
+        emissions take one value per row, not one per state."""
+        index: dict = {}
+        row = tuple(index.setdefault(r, len(index)) for r in zip(*self.emissions.values()))
+        return row, tuple(dict(zip(self.emissions, r)) for r in index)
+
+    @cached_property
+    def largest_costs(self) -> tuple[int, int]:
+        """(the largest finite packed transition, the largest finite packed
+        emission), 0 for none."""
+        inf = math.inf
+        return (max((w for preds_j in self.preds for _i, w in preds_j if w != inf), default=0),
+                max((e for col in self.emissions.values() for e in col if e != inf), default=0))
+
+    def lane_table(self, ones: int, dead: int) -> list:
+        """Each state's relaxation entry with every weight spread over
+        lanes, as (emission row, self-loop weight, ((i, weight), ...)), by
+        state: a packed weight w becomes w * ones and math.inf becomes
+        dead * ones (see decode.decode_lanes).  Kept for the last (ones,
+        dead) asked for, like windows; weights repeat, so each distinct one
+        is multiplied once."""
+        if not self._lane_table or self._lane_table[0] != (ones, dead):
+            spread: dict = {}
+
+            def lanes(w):
+                k = spread.get(w)
+                if k is None:
+                    k = spread[w] = (dead if w == math.inf else w) * ones
+                return k
+
+            table = [(r, lanes(loop), tuple((i, lanes(w)) for i, w in others))
+                     for r, (_j, loop, others) in zip(self.emission_rows[0], self.relax)]
+            self._lane_table = ((ones, dead), table)
+        return self._lane_table[1]
 
     def windows(self, n_frames: int) -> list:
         """window_lists(self, n_frames), kept for the last n_frames asked

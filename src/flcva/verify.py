@@ -1,6 +1,8 @@
 """Randomized equivalence suite: path-index bijection, 1-best decoder
 agreement (the CLI's windowed variants against the full-relaxation
-tabular decoder), and n-best agreement against the exhaustive oracle.
+tabular decoder; in-place and flip-flop decode every instance as one file,
+as the CLI does, so equal-length instances share lanes), and n-best
+agreement against the exhaustive oracle.
 
 Used by the `verify` CLI subcommand.
 """
@@ -9,10 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .automaton import Lexicon, build_dawg
 from .bench import generate_sequences
-from .decode import VARIANTS, nbest_improved, nbest_naive, viterbi_tabular
+from .decode import LANE_VARIANTS, VARIANTS, decode_file, nbest_improved, nbest_naive, viterbi_tabular
 from .hmm import HmmConfig, make_letter_hmms
 from .lexhmm import expand
 from .oracle import enumerate_paths_dfs, nbest_exhaustive
@@ -57,12 +60,17 @@ def run_verify(lexicon: Lexicon, config: HmmConfig, instances: int, seed: int) -
     lexhmm = expand(auto, increments, letter_hmms, config)
     # apart from generate_sequences' Random(seed), or a word would fix its n
     rng = random.Random(f"nbest:{seed}")
-    for inst, (obs, word) in enumerate(generate_sequences(lexicon, config, instances, seed)):
+    cases = generate_sequences(lexicon, config, instances, seed)
+    sequences = [obs for obs, _word in cases]
+    together = {name: list(decode_file(lexhmm, sequences, partial(VARIANTS[name], lexhmm), arrays))
+                for name, arrays in LANE_VARIANTS.items()}
+    for inst, (obs, word) in enumerate(cases):
         replay = f"instance {inst}: word={word!r} obs={' '.join(obs)}"
         # The reference relaxes every state: a window bug shared by every
         # variant still shows.
         best = viterbi_tabular(lexhmm, obs).ranking
-        rankings = {name: fn(lexhmm, obs).ranking for name, fn in VARIANTS.items()}
+        rankings = {name: (together[name][inst] if name in together else fn(lexhmm, obs)).ranking
+                    for name, fn in VARIANTS.items()}
         listed = " ".join(f"{name}={ranking}" for name, ranking in rankings.items())
         # (passed, failure message), checked in this order
         results = [(all(r == best for r in rankings.values()),

@@ -20,7 +20,7 @@ from flcva.automaton import (
 )
 from flcva.bench import generate_sequences
 from flcva.cli import main
-from flcva.decode import NBEST_VARIANTS, VARIANTS, DecodeResult, format_result
+from flcva.decode import LANE_MIN, NBEST_VARIANTS, VARIANTS, DecodeResult, format_result
 from flcva.hmm import read_observations
 from flcva.hmm import HmmConfig, format_config, format_observations, make_letter_hmms, parse_config
 from flcva.lexhmm import expand
@@ -822,6 +822,26 @@ def test_decode_forks_only_for_shares_worth_a_fork(toy_paths, fan_out_decode, mo
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     (tmp / "obs.txt").write_text(FAN_OUT_OBS * 20)
     assert main(["decode", str(tmp / "dawg.auto"), str(tmp / "golden.cfg"), str(tmp / "obs.txt")]) == 0
+
+
+@pytest.mark.parametrize("options, forks", [
+    ("--variant inplace", 0),
+    ("--variant flipflop", 0),
+    ("--variant tabular", 1),
+    ("--variant nbest-naive --nbest 1", 1),
+    ("--variant nbest-improved --nbest 2", 1),
+])
+def test_a_file_with_a_lane_group_decodes_in_one_process(toy_paths, fan_out_decode, monkeypatch,
+                                                         options, forks):
+    # FAN_OUT_OBS holds two valid 3-frame sequences; LANE_MIN - 2 more make
+    # a group that in-place and flip-flop decode together.
+    (toy_paths[2] / "obs.txt").write_text(FAN_OUT_OBS + "b c d\n" * (LANE_MIN - 2))
+    options = options.split()
+    alone = fan_out_decode(1, *options)
+    assert alone.count("# error:") == 2
+    counted = _count_forks(monkeypatch)
+    assert fan_out_decode(2, *options) == alone
+    assert len(counted) == forks
 
 
 @pytest.mark.parametrize("variant", ["inplace", "nbest-improved"])

@@ -1,6 +1,7 @@
 import math
 import random
 from bisect import bisect_right
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,8 +28,9 @@ from flcva import (
     viterbi_tabular,
 )
 from flcva.decode import (
-    VARIANTS, _best_final, _columns, _completions, _merge_improved, _merge_naive, _merge_ranks,
-    _nbest, _ranking, _relaxed, _step, _tokens, _top_n, _unpack,
+    LANE_CAP, LANE_MIN, LANE_VARIANTS, VARIANTS, _best_final, _columns, _completions,
+    _merge_improved, _merge_naive, _merge_ranks, _nbest, _ranking, _relaxed, _step, _tokens,
+    _lane_shape, _top_n, _unpack, decode_file, decode_lanes, lane_chunks,
 )
 from flcva.hmm import LOG_QUANTUM, NEG_INF
 from flcva.lexhmm import reach_tables
@@ -908,3 +910,150 @@ def test_edge_sizes_decode_every_word_like_the_oracle(w):
                 assert fn(lexhmm, obs).ranking == exact[:1], f"W={w} {fn.__name__}"
             for fn in (nbest_naive, nbest_improved):
                 assert fn(lexhmm, obs, w).ranking == exact, f"W={w} {fn.__name__}"
+
+
+# --- lanes -----------------------------------------------------------------
+
+
+def _one_by_one(lexhmm, sequences, variant):
+    """Each sequence's result from the scalar kernel, or its DecodeError."""
+    out = []
+    for symbols in sequences:
+        try:
+            out.append(VARIANTS[variant](lexhmm, symbols))
+        except DecodeError as exc:
+            out.append(exc)
+    return out
+
+
+def _blocks(results):
+    """The CLI's text for each result or error."""
+    return [f"# error: {r}" if isinstance(r, DecodeError) else format_result(r) for r in results]
+
+
+@st.composite
+def _lane_files(draw):
+    """(lexicon, letter models, config, file): the file's 1-20 sequences
+    (or LANE_MIN - 1, LANE_MIN or LANE_CAP + 1 of them) take one to three
+    lengths from 0 to two frames past the longest word's; now and then a
+    sequence holds 'z', a symbol outside the alphabet."""
+    lex, hmms, cfg, _obs = draw(_small_lexicon_cases(self_loops=(0.0, 0.3, 0.5), peaks=(0.7, 1.0)))
+    frames = cfg.states_per_letter * max(map(len, lex.words)) + 2
+    count = draw(st.integers(1, 20) | st.sampled_from([LANE_MIN - 1, LANE_MIN, LANE_CAP + 1]))
+    lengths = draw(st.lists(st.integers(0, frames), min_size=1, max_size=3))
+    sequences = []
+    for _ in range(count):
+        length = draw(st.sampled_from(lengths))
+        symbols = draw(st.lists(st.sampled_from("abc"), min_size=length, max_size=length))
+        if symbols and not draw(st.integers(0, 15)):
+            symbols[draw(st.integers(0, length - 1))] = "z"
+        sequences.append(symbols)
+    return lex, hmms, cfg, sequences
+
+
+@settings(max_examples=120, deadline=None)
+@given(_lane_files())
+def test_lanes_decode_a_file_as_the_scalar_kernel_does(case):
+    # Trie and DAWG, S = 1-3, self-loop 0 (every self-loop math.inf), 0.3
+    # and 0.5, peak 0.7 and 1.0 (math.inf emissions).  decode_file gives
+    # every sequence the scalar kernel's result, rows and counters, or its
+    # error; decode_lanes does so for every equal-length group, whatever
+    # its size, T = 0 included.
+    lex, hmms, cfg, sequences = case
+    for auto in (build_trie(lex), build_dawg(lex)):
+        lexhmm = _lexhmm(auto, hmms, cfg)
+        for variant, arrays in LANE_VARIANTS.items():
+            want = _one_by_one(lexhmm, sequences, variant)
+            got = list(decode_file(lexhmm, sequences, partial(VARIANTS[variant], lexhmm), arrays))
+            assert _blocks(got) == _blocks(want)
+            assert [r for r in got if isinstance(r, DecodeResult)] == [
+                r for r in want if isinstance(r, DecodeResult)]
+            groups: dict = {}
+            for symbols, result in zip(sequences, want):
+                if isinstance(result, DecodeResult):
+                    groups.setdefault(len(symbols), []).append((symbols, result))
+            for group in groups.values():
+                symbols, results = zip(*group)
+                assert decode_lanes(lexhmm, list(symbols), arrays) == list(results)
+
+
+def _lane_calls(monkeypatch) -> list:
+    """Patch decode_lanes to record each group's size in the returned list."""
+    calls, lanes = [], decode_lanes
+    monkeypatch.setattr("flcva.decode.decode_lanes",
+                        lambda lexhmm, group, arrays: calls.append(len(group)) or lanes(lexhmm, group, arrays))
+    return calls
+
+
+@pytest.mark.parametrize("count, chunks", [
+    (LANE_MIN - 1, []),
+    (LANE_MIN, [LANE_MIN]),
+    (LANE_CAP, [LANE_CAP]),
+    (LANE_CAP + 1, [LANE_CAP // 2, LANE_CAP // 2 + 1]),
+    (3 * LANE_CAP + 1, None),
+])
+def test_lane_chunks_cut_a_group_into_near_equal_chunks(toy_lexhmm_onehot, monkeypatch, count, chunks):
+    lexhmm, _cfg, _hmms = toy_lexhmm_onehot
+    sequences = [list("bcd")] * count
+    sizes = [len(chunk) for chunk in lane_chunks(lexhmm, sequences)]
+    if chunks is None:  # four chunks, a sequence apart, each at most LANE_CAP
+        assert sum(sizes) == count and len(sizes) == 4 and max(sizes) - min(sizes) <= 1
+        assert max(sizes) <= LANE_CAP
+    else:
+        assert sizes == chunks
+    calls = _lane_calls(monkeypatch)
+    results = list(decode_file(lexhmm, sequences, partial(viterbi_inplace, lexhmm, window=True), 1))
+    assert calls == sizes
+    assert results == _one_by_one(lexhmm, sequences, "inplace")
+
+
+def test_lane_chunks_hold_at_most_lane_bits_a_token_array(toy_lexhmm_onehot, monkeypatch):
+    lexhmm, _cfg, _hmms = toy_lexhmm_onehot
+    sequences = [list("bcd")] * (3 * LANE_MIN)
+    lane_bits = 8 * _lane_shape(lexhmm, 3)[1] * lexhmm.n_states
+    for budget, sizes in ((LANE_MIN * lane_bits, [LANE_MIN] * 3),
+                          (LANE_MIN * lane_bits - 1, []),
+                          (3 * LANE_MIN * lane_bits, [3 * LANE_MIN])):
+        monkeypatch.setattr("flcva.decode.LANE_BITS", budget)
+        assert [len(chunk) for chunk in lane_chunks(lexhmm, sequences)] == sizes
+
+
+def test_a_sequence_with_an_unknown_symbol_joins_no_group(toy_lexhmm_onehot, monkeypatch):
+    lexhmm, _cfg, _hmms = toy_lexhmm_onehot
+    decode = partial(viterbi_inplace, lexhmm, window=True)
+    words = ["ab", "ba", "bb", "bc"] * LANE_MIN
+    for count, groups in ((LANE_MIN, []), (LANE_MIN + 1, [LANE_MIN])):
+        sequences = [list(word) for word in words[:count]]
+        sequences[2] = list("bz")  # a would-be group member
+        calls = _lane_calls(monkeypatch)
+        results = list(decode_file(lexhmm, sequences, decode, 1))
+        assert calls == groups
+        assert _blocks(results) == _blocks(_one_by_one(lexhmm, sequences, "inplace"))
+        assert str(results[2]) == "observation symbol 'z' not in alphabet"
+        assert [r.ranking[0][0] for k, r in enumerate(results) if k != 2] == [
+            w for k, w in enumerate(words[:count]) if k != 2]
+
+
+def test_lanes_shorter_than_every_word_rank_nothing(toy_annotated, monkeypatch):
+    # At two states a letter every word takes at least two frames.
+    dawg, _suff, inc = toy_annotated
+    cfg = onehot_config(states=2)
+    lexhmm = expand(dawg, inc, make_letter_hmms("abcd", cfg), cfg)
+    sequences = [[symbol] for symbol in "abcdabcd"[:LANE_MIN]]
+    calls = _lane_calls(monkeypatch)
+    for variant, arrays in LANE_VARIANTS.items():
+        results = list(decode_file(lexhmm, sequences, partial(VARIANTS[variant], lexhmm), arrays))
+        assert _blocks(results) == _blocks(_one_by_one(lexhmm, sequences, variant))
+        assert all(r.ranking == [] and format_result(r).startswith("# ops=") for r in results)
+    assert calls == [LANE_MIN, LANE_MIN]
+
+
+def test_empty_sequences_join_no_group(toy_lexhmm_onehot, monkeypatch):
+    lexhmm, _cfg, _hmms = toy_lexhmm_onehot
+    sequences = [[]] * LANE_MIN + [list("bcd")] * LANE_MIN
+    calls = _lane_calls(monkeypatch)
+    for variant, arrays in LANE_VARIANTS.items():
+        results = list(decode_file(lexhmm, sequences, partial(VARIANTS[variant], lexhmm), arrays))
+        assert results == _one_by_one(lexhmm, sequences, variant)
+        assert results[0] == DecodeResult(token_slots=arrays * lexhmm.n_states)
+    assert calls == [LANE_MIN, LANE_MIN]
