@@ -154,11 +154,16 @@ def _decode_entries(decode, sequences, write) -> None:
 # in-place decode of the seed-1 benchmark sequences takes a median 49 ns a
 # full-relaxation unit on suffix10k and 36 ns on suffix100k, against 52
 # and 40 ns before (four processes, each the best of 60, on the same VM).
-# A file in which an in-place or flip-flop lane chunk runs (decode.lane_chunks)
-# decodes in one process: decode.LANE_MIN is where lanes in one process beat
-# this forking path with two CPUs (6 suffix100k sequences of 40 frames:
-# 29.8 ms forking, 29.5 ms in lanes; 7: 35.4 and 30.3 ms, best of 15), and
-# lanes in both halves of a fork lost to lanes in one process.
+# For in-place and flip-flop only the sequences in no lane chunk
+# (decode.lane_chunks) count, and a file they make worth a fork decodes in
+# two processes with the scalar kernel only.  decode.LANE_MIN is where lanes
+# in one process beat this forking path with two CPUs (6 suffix100k
+# sequences of 40 frames: 29.8 ms forking, 29.5 ms in lanes; 7: 35.4 and
+# 30.3 ms, best of 15).  Counting every sequence, as before lanes, would fork
+# files that lanes decode faster in one process; deciding by whether any
+# chunk runs lost 22-31 % on files whose other sequences hold most of the
+# work (8 equal-length suffix100k sequences among 12 of other lengths:
+# 55.8 ms forking, 71.4 ms in one process, medians of six rounds).
 _MIN_SHARE_WORK = 60_000
 
 
@@ -255,16 +260,16 @@ def cmd_decode(args) -> int:
         )
 
     arrays = LANE_VARIANTS.get(args.variant, 0)
-    decode_all = partial(decode_file, lexhmm, decode=decode, arrays=arrays)
+    chunks = lane_chunks(lexhmm, sequences) if arrays else []
     # Sequences are independent: a child decodes the second half of the file
-    # when each half is worth a fork, unless some of its sequences decode
-    # together in lanes.
-    work = sum(map(len, sequences)) * lexhmm.n_arcs
-    lanes = arrays and lane_chunks(lexhmm, sequences)
-    if not lanes and _usable_cpus() > 1 and len(sequences) > 1 and work >= 2 * _MIN_SHARE_WORK:
-        _fan_out(decode_all, sequences)
+    # when the sequences no lane chunk holds are worth a fork on their own.
+    in_lanes = {k for chunk in chunks for k in chunk}
+    work = sum(len(symbols) for k, symbols in enumerate(sequences) if k not in in_lanes) * lexhmm.n_arcs
+    if _usable_cpus() > 1 and len(sequences) > 1 and work >= 2 * _MIN_SHARE_WORK:
+        _fan_out(partial(decode_file, lexhmm, decode=decode), sequences)
     else:
-        _decode_entries(decode_all, sequences, sys.stdout.write)
+        _decode_entries(partial(decode_file, lexhmm, decode=decode, arrays=arrays, chunks=chunks),
+                        sequences, sys.stdout.write)
     return 0
 
 

@@ -351,12 +351,17 @@ def decode_lanes(lexhmm: LexiconHMM, group: list, arrays: int = 1) -> list:
     return results
 
 
-def decode_file(lexhmm: LexiconHMM, sequences: list, decode, arrays: int = 0):
+def decode_file(lexhmm: LexiconHMM, sequences: list, decode, arrays: int = 0, chunks=None):
     """Each sequence's result, or the DecodeError it raised, in order.
-    With arrays (LANE_VARIANTS), the sequences of each of lane_chunks'
-    chunks decode together (decode_lanes), once the first of them is
-    reached; decode(symbols) decodes every other sequence."""
-    chunks = {chunk[0]: chunk for chunk in lane_chunks(lexhmm, sequences)} if arrays else {}
+    With arrays (LANE_VARIANTS), the sequences of each chunk, a list of
+    indices into sequences (lane_chunks(lexhmm, sequences) when None),
+    decode together (decode_lanes), once the first of them is reached;
+    decode(symbols) decodes every other sequence."""
+    if not arrays:
+        chunks = []
+    elif chunks is None:
+        chunks = lane_chunks(lexhmm, sequences)
+    chunks = {chunk[0]: chunk for chunk in chunks}
     done: dict = {}
     for k, symbols in enumerate(sequences):
         chunk = chunks.get(k)

@@ -824,24 +824,36 @@ def test_decode_forks_only_for_shares_worth_a_fork(toy_paths, fan_out_decode, mo
     assert main(["decode", str(tmp / "dawg.auto"), str(tmp / "golden.cfg"), str(tmp / "obs.txt")]) == 0
 
 
-@pytest.mark.parametrize("options, forks", [
-    ("--variant inplace", 0),
-    ("--variant flipflop", 0),
-    ("--variant tabular", 1),
-    ("--variant nbest-naive --nbest 1", 1),
-    ("--variant nbest-improved --nbest 2", 1),
+@pytest.mark.parametrize("options, lanes", [
+    ("--variant inplace", True),
+    ("--variant flipflop", True),
+    ("--variant tabular", False),
+    ("--variant nbest-naive --nbest 1", False),
+    ("--variant nbest-improved --nbest 2", False),
 ])
-def test_a_file_with_a_lane_group_decodes_in_one_process(toy_paths, fan_out_decode, monkeypatch,
-                                                         options, forks):
+def test_only_sequences_left_out_of_lanes_are_worth_a_fork(toy_paths, fan_out_decode, monkeypatch,
+                                                          options, lanes):
     # FAN_OUT_OBS holds two valid 3-frame sequences; LANE_MIN - 2 more make
-    # a group that in-place and flip-flop decode together.
-    (toy_paths[2] / "obs.txt").write_text(FAN_OUT_OBS + "b c d\n" * (LANE_MIN - 2))
+    # a group that in-place and flip-flop decode together.  For them only
+    # the file's other sequences count as work, and a file they make worth
+    # a fork decodes in two processes, both running the scalar kernel.
+    tmp = toy_paths[2]
+    text = FAN_OUT_OBS + "b c d\n" * (LANE_MIN - 2)
+    (tmp / "obs.txt").write_text(text)
+    auto, _, increments = parse_automaton((tmp / "dawg.auto").read_text())
+    config = parse_config((tmp / "golden.cfg").read_text())
+    lexhmm = expand(auto, increments, make_letter_hmms(auto.letters, config), config)
+    frames = sum(len(symbols) for symbols, _ in read_observations(text))
+    rest = (frames - 3 * LANE_MIN) * lexhmm.n_arcs
     options = options.split()
     alone = fan_out_decode(1, *options)
     assert alone.count("# error:") == 2
-    counted = _count_forks(monkeypatch)
-    assert fan_out_decode(2, *options) == alone
-    assert len(counted) == forks
+    forks = _count_forks(monkeypatch)
+    for low, worth in ((rest // 2, True), (rest // 2 + 1, not lanes)):  # each half's work
+        monkeypatch.setattr(cli, "_MIN_SHARE_WORK", low)
+        before = len(forks)
+        assert fan_out_decode(2, *options) == alone
+        assert len(forks) - before == worth
 
 
 @pytest.mark.parametrize("variant", ["inplace", "nbest-improved"])

@@ -934,20 +934,29 @@ def _blocks(results):
 @st.composite
 def _lane_files(draw):
     """(lexicon, letter models, config, file): the file's 1-20 sequences
-    (or LANE_MIN - 1, LANE_MIN or LANE_CAP + 1 of them) take one to three
-    lengths from 0 to two frames past the longest word's; now and then a
-    sequence holds 'z', a symbol outside the alphabet."""
+    (or LANE_MIN - 1 of them) take one to three lengths from 0 to two
+    frames past the longest word's; now and then a sequence holds 'z', a
+    symbol outside the alphabet.  Or the file is LANE_MIN, LANE_CAP or
+    LANE_CAP + 1 valid sequences of one length T >= 1, at least one lane
+    chunk, with 0-5 such other sequences among them."""
     lex, hmms, cfg, _obs = draw(_small_lexicon_cases(self_loops=(0.0, 0.3, 0.5), peaks=(0.7, 1.0)))
     frames = cfg.states_per_letter * max(map(len, lex.words)) + 2
-    count = draw(st.integers(1, 20) | st.sampled_from([LANE_MIN - 1, LANE_MIN, LANE_CAP + 1]))
     lengths = draw(st.lists(st.integers(0, frames), min_size=1, max_size=3))
-    sequences = []
-    for _ in range(count):
-        length = draw(st.sampled_from(lengths))
-        symbols = draw(st.lists(st.sampled_from("abc"), min_size=length, max_size=length))
-        if symbols and not draw(st.integers(0, 15)):
-            symbols[draw(st.integers(0, length - 1))] = "z"
-        sequences.append(symbols)
+
+    def symbols(length, unknown=True):
+        out = draw(st.lists(st.sampled_from("abc"), min_size=length, max_size=length))
+        if unknown and out and not draw(st.integers(0, 15)):
+            out[draw(st.integers(0, length - 1))] = "z"
+        return out
+
+    if draw(st.booleans()):
+        count = draw(st.integers(1, 20) | st.just(LANE_MIN - 1))
+        return lex, hmms, cfg, [symbols(draw(st.sampled_from(lengths))) for _ in range(count)]
+    length = draw(st.integers(1, frames))
+    count = draw(st.sampled_from([LANE_MIN, LANE_CAP, LANE_CAP + 1]))
+    sequences = [symbols(length, unknown=False) for _ in range(count)]
+    for _ in range(draw(st.integers(0, 5))):
+        sequences.insert(draw(st.integers(0, len(sequences))), symbols(draw(st.sampled_from(lengths))))
     return lex, hmms, cfg, sequences
 
 
