@@ -854,6 +854,11 @@ def test_only_sequences_left_out_of_lanes_are_worth_a_fork(toy_paths, fan_out_de
         before = len(forks)
         assert fan_out_decode(2, *options) == alone
         assert len(forks) - before == worth
+    (tmp / "obs.txt").write_text("b c d\n" * LANE_MIN)  # every sequence in lanes
+    monkeypatch.setattr(cli, "_MIN_SHARE_WORK", 1)
+    before = len(forks)
+    assert fan_out_decode(2, *options) == fan_out_decode(1, *options)
+    assert len(forks) - before == (not lanes)
 
 
 @pytest.mark.parametrize("variant", ["inplace", "nbest-improved"])
