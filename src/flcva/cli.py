@@ -12,7 +12,6 @@ import functools
 import os
 import signal
 import sys
-import threading
 from functools import partial
 from itertools import chain
 
@@ -33,7 +32,6 @@ from .decode import (
     DecodeError,
     decode_file,
     format_result,
-    lane_chunks,
 )
 from .hmm import HmmConfigError, format_observations, make_letter_hmms, parse_config, read_observations
 from .lexhmm import ExpansionError, expand
@@ -130,108 +128,6 @@ def _nbest_arg(text: str):
         raise argparse.ArgumentTypeError(f"expected an integer or 'all', not {text!r}") from None
 
 
-def _decode_entries(decode, sequences, write) -> None:
-    """Write each sequence's result block, or an `# error:` line for a
-    sequence the decoder rejects, in order; decode(sequences) gives the
-    results (decode.decode_file)."""
-    for result in decode(sequences):
-        write(f"# error: {result}\n" if isinstance(result, DecodeError) else format_result(result))
-
-
-# Decode work is estimated as frames x predecessor entries (LexiconHMM.n_arcs).
-# On a 2-vCPU VM one fork, pipe and reap took about 1.3 ms, a decoder took
-# 47-115 ns a unit on the benchmark lexicons (more on smaller ones), and two
-# processes beat one from about 20,000 units a share.  A child is forked only
-# when each half of the file is at least this much work: 2.8 ms at the
-# fastest rate measured.
-# These are full-relaxation units, although the decoders relax only the
-# time window: the bound was measured in them.  The windowed work of a
-# 15-sequence suffix10k benchmark part is 56 % of its estimate (117,450 to
-# 122,310 units over seeds 1-12), under this bound on 7 of the 12.  A
-# windowed estimate needs a bound measured anew, in its own units.
-# The 47-115 ns rates predate the step that starts each state from its own
-# self-loop token; the bound stays as measured.  Since then the windowed
-# in-place decode of the seed-1 benchmark sequences takes a median 49 ns a
-# full-relaxation unit on suffix10k and 36 ns on suffix100k, against 52
-# and 40 ns before (four processes, each the best of 60, on the same VM).
-# For in-place and flip-flop only the sequences in no lane chunk
-# (decode.lane_chunks) count, and a file they make worth a fork decodes in
-# two processes with the scalar kernel only.  decode.LANE_MIN is where lanes
-# in one process beat this forking path with two CPUs (6 suffix100k
-# sequences of 40 frames: 29.8 ms forking, 29.5 ms in lanes; 7: 35.4 and
-# 30.3 ms, best of 15).  Counting every sequence, as before lanes, would fork
-# files that lanes decode faster in one process; deciding by whether any
-# chunk runs lost 22-31 % on files whose other sequences hold most of the
-# work (8 equal-length suffix100k sequences among 12 of other lengths:
-# 55.8 ms forking, 71.4 ms in one process, medians of six rounds).
-_MIN_SHARE_WORK = 60_000
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on, or 1 where it cannot fork safely: no
-    os.fork or os.sched_getaffinity, or another thread running."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _fork_share(decode, share):
-    """Fork a child that writes share's decode text to a pipe: (its pid, the
-    pipe's read end as a text file), or None when no child could be started."""
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        # os._exit leaves without flushing the sys.stdout this child inherited
-        status = 1
-        try:
-            os.close(read_fd)
-            text = []
-            _decode_entries(decode, share, text.append)
-            # written once decoded: a full pipe then cannot stall the decode
-            with open(write_fd, "w", encoding="utf-8", newline="") as pipe:
-                pipe.writelines(text)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)  # else reading the pipe never meets its end
-    return pid, open(read_fd, encoding="utf-8", newline="")
-
-
-def _fan_out(decode, sequences: list) -> None:
-    """Decode the second half of sequences in a forked child while this process
-    decodes the first, then write the child's text after its own.  A half
-    whose child could not be started or did not exit with 0 is decoded here
-    instead, so a failure looks as it would in one process."""
-    cut = len(sequences) // 2
-    child = _fork_share(decode, sequences[cut:])
-    try:
-        _decode_entries(decode, sequences[:cut], sys.stdout.write)
-        if child is not None:
-            pid, pipe = child
-            with pipe:
-                text = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            child = None  # reaped
-            if status == 0:
-                sys.stdout.write(text)
-                return
-        _decode_entries(decode, sequences[cut:], sys.stdout.write)
-    finally:
-        if child is not None:  # something above raised, the wait included
-            pid, pipe = child
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def cmd_decode(args) -> int:
     if args.nbest != "all":
         _at_least(1, args, "nbest")
@@ -259,17 +155,8 @@ def cmd_decode(args) -> int:
             + (slots if args.variant == "tabular" else "")
         )
 
-    arrays = LANE_VARIANTS.get(args.variant, 0)
-    chunks = lane_chunks(lexhmm, sequences) if arrays else []
-    # Sequences are independent: a child decodes the second half of the file
-    # when the sequences no lane chunk holds are worth a fork on their own.
-    in_lanes = {k for chunk in chunks for k in chunk}
-    work = sum(len(symbols) for k, symbols in enumerate(sequences) if k not in in_lanes) * lexhmm.n_arcs
-    if _usable_cpus() > 1 and len(sequences) > 1 and work >= 2 * _MIN_SHARE_WORK:
-        _fan_out(partial(decode_file, lexhmm, decode=decode), sequences)
-    else:
-        _decode_entries(partial(decode_file, lexhmm, decode=decode, arrays=arrays, chunks=chunks),
-                        sequences, sys.stdout.write)
+    for result in decode_file(lexhmm, sequences, decode, LANE_VARIANTS.get(args.variant)):
+        sys.stdout.write(f"# error: {result}\n" if isinstance(result, DecodeError) else format_result(result))
     return 0
 
 

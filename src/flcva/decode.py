@@ -21,11 +21,13 @@ the top n, and leaves out a successor whose every token that cut would
 remove.
 Each frame reads one emission column, LexiconHMM.emissions[symbol], and a
 sequence's columns are looked up before its first frame runs.
-The CLI decodes a file through decode_file, which runs in-place and
-flip-flop in lanes: the file's sequences of one length, in chunks of
-LANE_MIN to LANE_CAP, decode together, each state's tokens one int of K
-lanes (decode_lanes, SWAR), with every lane's result bit-identical to the
-scalar kernel's; every other sequence runs the scalar kernel.
+The CLI decodes a file in one process through decode_file, which runs
+the 1-best variants in lanes (LANE_VARIANTS): the file's sequences of one
+length, in chunks of LANE_MIN to LANE_CAP, decode together, each state's
+tokens one int of K lanes (decode_lanes, SWAR), with every lane's result
+bit-identical to the scalar kernel's; tabular keeps every frame's lane
+array and backtracks each lane through the helper viterbi_tabular uses
+(_backtrack).  Every other sequence runs the scalar kernel.
 
 A token is one int, `cost << pph_bits | pph`: cost is the path's negated
 log score in 2^-32 grid units and pph its path-history index (see
@@ -239,33 +241,42 @@ def viterbi_tabular(lexhmm: LexiconHMM, obs, window: bool = False) -> DecodeResu
     lattice = [_tokens(n_states) for _ in range(len(obs) + 1)]
     for t, frame in enumerate(_relaxed(lexhmm, len(cols), window)):
         res.ops += _step(frame, cols[t], lattice[t], lattice[t + 1])
-    top = _best_final(lexhmm, lattice[-1])
-    if not top:
-        return res
-    token, j = top[0]
-    # Backtrack the state path and spell the word from its node visits.  A
-    # frame's winning predecessor is the first whose token plus transition
-    # gives the token before emission: the one _step kept.  The first
-    # frame's predecessor is START, which spells nothing.
+    res.ranking = [_backtrack(lexhmm, lattice, cols, *top) for top in _best_final(lexhmm, lattice[-1])]
+    return res
+
+
+def _backtrack(lexhmm: LexiconHMM, lattice: list, cols: list, token: int, j: int,
+               read=lambda x: x) -> tuple:
+    """The ranking row of tabular's final token, which exit state j holds
+    after the last frame: its word is spelled from the state path's node
+    visits, backtracked through lattice (lattice[t]: the tokens after t
+    frames) with the frames' emission columns cols.  read(x) is the token a
+    lattice entry x holds: x itself, or one lane of it (decode_lanes).
+
+    A frame's winning predecessor is the first whose token plus transition
+    gives the token before emission: the one _step kept.  The first frame's
+    predecessor is START, which spells nothing.
+    """
     nodes = [lexhmm.state_node[j]]
-    for t in range(len(obs) - 1, 0, -1):
-        before = lattice[t + 1][j] - cols[t][j]
+    for t in range(len(cols) - 1, 0, -1):
+        before = read(lattice[t + 1][j]) - cols[t][j]
         src = lattice[t]
-        j = next(i for i, w in lexhmm.preds[j] if src[i] + w == before)
+        j = next(i for i, w in lexhmm.preds[j] if read(src[i]) + w == before)
         nodes.append(lexhmm.state_node[j])
     word = "".join(lexhmm.automaton.labels[node] for node, _ in groupby(reversed(nodes)))
-    res.ranking = [(word, *_unpack(lexhmm, token))]
-    return res
+    return (word, *_unpack(lexhmm, token))
 
 
 # --- lanes -----------------------------------------------------------------
 
-# Token arrays per state of the CLI variants that decode in lanes.
-LANE_VARIANTS = {"flipflop": 2, "inplace": 1}
-LANE_MIN = 7  # the fewest sequences that decode together
+# Token arrays per state of the CLI variants that decode in lanes; 0 is
+# one a frame and the start, tabular's lattice.
+LANE_VARIANTS = {"tabular": 0, "flipflop": 2, "inplace": 1}
+LANE_MIN = 5  # the fewest sequences that decode together
 LANE_CAP = 64  # the most
-# The most lane bits one token array may hold, 32 MiB: a large trie's
-# groups get fewer lanes, or none, rather than many times a scalar array.
+# The most lane bits the token arrays of one lane decode may hold, 32 MiB:
+# a large trie's groups, and long ones for tabular, get fewer lanes, or
+# none, rather than many times a scalar decode's arrays.
 LANE_BITS = 1 << 28
 
 
@@ -277,14 +288,15 @@ def _lane_shape(lexhmm: LexiconHMM, n_frames: int) -> tuple[int, int]:
     return dead, (((n_frames + 2) * 2 * dead).bit_length() + 8) // 8  # the guard bit included
 
 
-def lane_chunks(lexhmm: LexiconHMM, sequences) -> list:
-    """The sequences that decode together, as lists of indices into
-    sequences.  A group holds the sequences of one length T >= 1 with no
-    symbol outside the alphabet, in order.  Its cap is LANE_CAP lanes, or
-    fewer where N lanes of its width would pass LANE_BITS; a group longer
-    than its cap is cut into the fewest chunks within it, their sizes a
-    sequence apart, so each holds at least half the cap.  Chunks of fewer
-    than LANE_MIN are left out."""
+def lane_chunks(lexhmm: LexiconHMM, sequences, arrays: int = 1) -> list:
+    """The sequences that decode together with arrays token arrays (a
+    LANE_VARIANTS value), as lists of indices into sequences.  A group
+    holds the sequences of one length T >= 1 with no symbol outside the
+    alphabet, in order.  Its cap is LANE_CAP lanes, or fewer where the
+    decode's token arrays, N lanes of its width each, would pass LANE_BITS;
+    a group longer than its cap is cut into the fewest chunks within it,
+    their sizes a sequence apart, so each holds at least half the cap.
+    Chunks of fewer than LANE_MIN are left out."""
     groups: dict = {}
     emissions = lexhmm.emissions
     for k, symbols in enumerate(sequences):
@@ -294,7 +306,7 @@ def lane_chunks(lexhmm: LexiconHMM, sequences) -> list:
     for n_frames, group in groups.items():
         if len(group) < LANE_MIN:
             continue  # and the shape, which reads every weight once per HMM, is not needed
-        lane_bits = 8 * _lane_shape(lexhmm, n_frames)[1] * lexhmm.n_states
+        lane_bits = 8 * _lane_shape(lexhmm, n_frames)[1] * lexhmm.n_states * (arrays or n_frames + 1)
         cap = min(LANE_CAP, LANE_BITS // lane_bits)
         if cap < LANE_MIN:
             continue
@@ -307,8 +319,8 @@ def lane_chunks(lexhmm: LexiconHMM, sequences) -> list:
 def decode_lanes(lexhmm: LexiconHMM, group: list, arrays: int = 1) -> list:
     """Windowed 1-best results of K equal-length sequences decoded
     together, one lane each, with arrays token arrays (1: in-place, 2:
-    flip-flop); each equals its sequence's viterbi_inplace or
-    viterbi_flipflop(window=True) result, counters included.
+    flip-flop, 0: tabular's lattice, one a frame and the start); each
+    equals its sequence's VARIANTS result, counters included.
 
     A state's K tokens are one int of K lanes of w bits, lane k holding
     sequence k's token.  A lane cannot hold math.inf, so the dead token is
@@ -319,7 +331,10 @@ def decode_lanes(lexhmm: LexiconHMM, group: list, arrays: int = 1) -> list:
     (T + 2) x 2D, and w is that bound's bit length plus a guard bit,
     rounded up to whole bytes: no add or lane-wise min carries into the
     next lane.  A frame's emissions are one int per distinct emission row,
-    joined from each lane's bytes for its symbol.
+    joined from each lane's bytes for its symbol.  Tabular backtracks each
+    live lane k through the lattice (_backtrack), reading an entry x as
+    (x >> k·w) & mask; a dead lane holds at least D, so it plus a
+    transition never equals a live token.
     """
     n_frames, n_states, k_lanes = len(group[0]), lexhmm.n_states, len(group)
     dead, width = _lane_shape(lexhmm, n_frames)
@@ -329,39 +344,47 @@ def decode_lanes(lexhmm: LexiconHMM, group: list, arrays: int = 1) -> list:
     table = lexhmm.lane_table(ones, dead)
     emit = [{s: (dead if e == INF else e).to_bytes(width, "little") for s, e in row.items()}
             for row in lexhmm.emission_rows[1]]
-    src = [gone] * n_states + [0]  # START (-1) holds 0 in every lane
-    dst = src if arrays == 1 else list(src)
+    # START (-1) holds 0 in every lane; frame t reads tokens[t] and writes
+    # tokens[t + 1], modulo their count.
+    tokens = [[gone] * n_states + [0] for _ in range(arrays or n_frames + 1)]
     visits = 0
-    for symbols, (states, frame_visits) in zip(zip(*group), lexhmm.windows(n_frames)):
+    for t, (symbols, (states, frame_visits)) in enumerate(zip(zip(*group), lexhmm.windows(n_frames))):
         col = [int.from_bytes(b"".join([row[s] for s in symbols]), "little") for row in emit]
-        _lane_step(states, table, col, src, dst, high, shift, gone)
-        src, dst = dst, src
+        _lane_step(states, table, col, tokens[t % len(tokens)], tokens[(t + 1) % len(tokens)],
+                   high, shift, gone)
         visits += frame_visits
+    last = tokens[n_frames % len(tokens)]
     best = gone
     for f, dpph in lexhmm.finals:  # the lane-wise min of _lane_step
-        d = (best | high) - (src[f] + dpph * ones)
+        d = (best | high) - (last[f] + dpph * ones)
         g = d & high
         best -= d & (g - (g >> shift))
     lanes = best.to_bytes(k_lanes * width, "little")
+    mask = (1 << 8 * width) - 1
     results = []
-    for k in range(0, len(lanes), width):
-        token = int.from_bytes(lanes[k:k + width], "little")
-        results.append(DecodeResult(ranking=_ranking(lexhmm, [token] if token < dead else []),
-                                    ops=visits, token_slots=arrays * n_states))
+    for k in range(k_lanes):
+        token = int.from_bytes(lanes[k * width:(k + 1) * width], "little")
+        if token >= dead:
+            ranking = []
+        elif arrays:
+            ranking = _ranking(lexhmm, [token])
+        else:
+            def read(x, at=8 * width * k):
+                return (x >> at) & mask
+
+            j = next(f for f, dpph in lexhmm.finals if read(last[f]) + dpph == token)
+            ranking = [_backtrack(lexhmm, tokens, _columns(lexhmm, group[k]), token, j, read)]
+        results.append(DecodeResult(ranking=ranking, ops=visits, token_slots=(arrays or n_frames) * n_states))
     return results
 
 
-def decode_file(lexhmm: LexiconHMM, sequences: list, decode, arrays: int = 0, chunks=None):
+def decode_file(lexhmm: LexiconHMM, sequences: list, decode, arrays: int | None = None):
     """Each sequence's result, or the DecodeError it raised, in order.
-    With arrays (LANE_VARIANTS), the sequences of each chunk, a list of
-    indices into sequences (lane_chunks(lexhmm, sequences) when None),
-    decode together (decode_lanes), once the first of them is reached;
-    decode(symbols) decodes every other sequence."""
-    if not arrays:
-        chunks = []
-    elif chunks is None:
-        chunks = lane_chunks(lexhmm, sequences)
-    chunks = {chunk[0]: chunk for chunk in chunks}
+    Unless arrays is None, the sequences of each lane chunk
+    (lane_chunks(lexhmm, sequences, arrays)) decode together
+    (decode_lanes), once the first of them is reached; decode(symbols)
+    decodes every other sequence."""
+    chunks = {} if arrays is None else {chunk[0]: chunk for chunk in lane_chunks(lexhmm, sequences, arrays)}
     done: dict = {}
     for k, symbols in enumerate(sequences):
         chunk = chunks.get(k)

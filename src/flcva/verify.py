@@ -1,8 +1,8 @@
 """Randomized equivalence suite: path-index bijection, 1-best decoder
 agreement (the CLI's windowed variants against the full-relaxation
-tabular decoder; in-place and flip-flop decode every instance as one file,
-as the CLI does, so equal-length instances share lanes), and n-best
-agreement against the exhaustive oracle.
+tabular decoder; each decodes every instance as one file, as the CLI does,
+so equal-length instances share lanes), and n-best agreement against the
+exhaustive oracle.
 
 Used by the `verify` CLI subcommand.
 """
@@ -62,15 +62,14 @@ def run_verify(lexicon: Lexicon, config: HmmConfig, instances: int, seed: int) -
     rng = random.Random(f"nbest:{seed}")
     cases = generate_sequences(lexicon, config, instances, seed)
     sequences = [obs for obs, _word in cases]
-    together = {name: list(decode_file(lexhmm, sequences, partial(VARIANTS[name], lexhmm), arrays))
-                for name, arrays in LANE_VARIANTS.items()}
+    together = {name: list(decode_file(lexhmm, sequences, partial(fn, lexhmm), LANE_VARIANTS[name]))
+                for name, fn in VARIANTS.items()}
     for inst, (obs, word) in enumerate(cases):
         replay = f"instance {inst}: word={word!r} obs={' '.join(obs)}"
         # The reference relaxes every state: a window bug shared by every
         # variant still shows.
         best = viterbi_tabular(lexhmm, obs).ranking
-        rankings = {name: (together[name][inst] if name in together else fn(lexhmm, obs)).ranking
-                    for name, fn in VARIANTS.items()}
+        rankings = {name: results[inst].ranking for name, results in together.items()}
         listed = " ".join(f"{name}={ranking}" for name, ranking in rankings.items())
         # (passed, failure message), checked in this order
         results = [(all(r == best for r in rankings.values()),

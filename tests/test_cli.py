@@ -6,8 +6,6 @@ import shlex
 import subprocess
 import sys
 import tempfile
-import threading
-import time
 from pathlib import Path
 
 import pytest
@@ -16,14 +14,12 @@ from hypothesis import strategies as st
 
 from flcva import cli
 from flcva.automaton import (
-    Lexicon, build_dawg, build_trie, minimize, parse_automaton, read_wordlist, serialize_automaton,
+    Lexicon, build_dawg, build_trie, minimize, read_wordlist, serialize_automaton,
 )
 from flcva.bench import generate_sequences
 from flcva.cli import main
-from flcva.decode import LANE_MIN, NBEST_VARIANTS, VARIANTS, DecodeResult, format_result
-from flcva.hmm import read_observations
+from flcva.decode import LANE_MIN, NBEST_VARIANTS, VARIANTS, DecodeResult, decode_lanes, format_result
 from flcva.hmm import HmmConfig, format_config, format_observations, make_letter_hmms, parse_config
-from flcva.lexhmm import expand
 from flcva.oracle import nbest_exhaustive
 from flcva.pph import annotate_increments, compute_suff
 from flcva.synth import synthetic_lexicon
@@ -690,261 +686,54 @@ def test_deep_word_builds_and_decodes(tmp_path, capsys):
     assert capsys.readouterr().out.startswith(f"1 {word} 0 ")
 
 
-# Three sequences a side of the cut between the parent's half and the child's,
-# an unknown symbol on each side.
-FAN_OUT_OBS = "b c d\nx y\na b\nb q\nc\nb b c\n"
-FAN_OUT_OPTIONS = [
+# The LANE_MIN + 2 valid 3-frame sequences form a lane chunk for the 1-best
+# variants; an unknown symbol ("x y", "b q", "b z d") comes before, inside
+# and after it.
+FILE_OBS = "b c d\nx y\na b\nb q\nc\nb b c\n" + "b c d\n" * (LANE_MIN - 1) + "b z d\nb c d\n"
+FILE_OPTIONS = [
     *(["--variant", v] for v in VARIANTS),
     *(["--variant", v, "--nbest", n] for v in NBEST_VARIANTS for n in ("1", "2", "all")),
 ]
 
 
-@pytest.fixture
-def fan_out_decode(toy_paths, capsys, monkeypatch):
-    """decode(cpus, *options): the stdout of a decode of FAN_OUT_OBS with
-    os.sched_getaffinity reporting `cpus` CPUs, after which no child of this
-    process may be left.  The toy file is far below the work a fork is
-    worth, so every share is taken to be worth one unless a test sets
-    cli._MIN_SHARE_WORK itself."""
+@pytest.mark.parametrize("options", FILE_OPTIONS, ids=" ".join)
+def test_decode_output_is_each_sequence_decoded_alone(toy_paths, capsys, monkeypatch, options):
     wordlist, _config, tmp = toy_paths
     config, auto, obs = tmp / "golden.cfg", tmp / "dawg.auto", tmp / "obs.txt"
     config.write_text(format_config(HmmConfig(
         alphabet=tuple("abcd"), states_per_letter=2, self_loop_prob=0.3, emission_peak=0.7)))
     assert main(["build", str(wordlist), str(auto), "--dawg"]) == 0
-    obs.write_text(FAN_OUT_OBS)
-    capsys.readouterr()
-    monkeypatch.setattr(cli, "_MIN_SHARE_WORK", 1)
+    calls, lanes = [], decode_lanes
+    monkeypatch.setattr("flcva.decode.decode_lanes",
+                        lambda lexhmm, group, arrays: calls.append(len(group)) or lanes(lexhmm, group, arrays))
 
-    def decode(cpus, *options):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        try:
-            assert main(["decode", str(auto), str(config), str(obs), *options]) == 0
-        finally:
-            with pytest.raises(ChildProcessError):
-                os.waitpid(-1, os.WNOHANG)
+    def decode(text):
+        obs.write_text(text)
+        capsys.readouterr()
+        assert main(["decode", str(auto), str(config), str(obs), *options]) == 0
         return capsys.readouterr().out
 
-    return decode
+    together = decode(FILE_OBS)
+    assert together.count("# error:") == 3
+    assert calls == ([LANE_MIN + 2] if options[1] in VARIANTS else [])
+    assert together == "".join(decode(f"{line}\n") for line in FILE_OBS.splitlines())
 
 
-def _count_forks(monkeypatch) -> list:
-    """Patch os.fork to record each call in the returned list."""
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    return forks
+@pytest.mark.parametrize("variant", [*VARIANTS, *NBEST_VARIANTS])
+def test_decode_never_forks(toy_paths, capsys, monkeypatch, variant):
+    # One process decodes every file, however many sequences it holds.
+    wordlist, config, tmp = toy_paths
+    auto, obs = tmp / "dawg.auto", tmp / "long.txt"
+    assert main(["build", str(wordlist), str(auto), "--dawg"]) == 0
+    assert main(["gen", str(wordlist), str(config), str(obs), "--count", "3000"]) == 0
+    capsys.readouterr()
 
-
-def _no_fork(monkeypatch) -> None:
     def no_fork():
         raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
-
-
-# Lines of FAN_OUT_OBS for n = 2, 3, 5 and 6 sequences, each with an
-# unknown symbol ("x y", "b q") on each side of the cut after n // 2.
-@pytest.mark.parametrize("lines", [(1, 3), (1, 2, 3), (0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 5)], ids=len)
-def test_fan_out_child_decodes_the_second_half(toy_paths, fan_out_decode, monkeypatch, lines):
-    obs = [FAN_OUT_OBS.splitlines()[i] for i in lines]
-    (toy_paths[2] / "obs.txt").write_text("".join(f"{line}\n" for line in obs))
-    cut = len(obs) // 2
-    assert "x y" in obs[:cut] and "b q" in obs[cut:]
-    alone = fan_out_decode(1)
-    assert alone.count("# error:") == 2
-    seen, parent, decoder = toy_paths[2] / "seen.txt", os.getpid(), VARIANTS["inplace"]
-
-    def recorded(lexhmm, symbols):
-        if os.getpid() != parent:
-            with open(seen, "a") as fh:
-                fh.write(" ".join(symbols) + "\n")
-        return decoder(lexhmm, symbols)
-
-    monkeypatch.setitem(VARIANTS, "inplace", recorded)
-    forks = _count_forks(monkeypatch)
-    assert fan_out_decode(2) == alone
-    assert len(forks) == 1
-    assert seen.read_text().splitlines() == obs[cut:]
-
-
-@pytest.mark.parametrize("options", FAN_OUT_OPTIONS, ids=" ".join)
-def test_fan_out_output_is_the_one_process_output(fan_out_decode, monkeypatch, options):
-    alone = fan_out_decode(1, *options)
-    assert alone.count("# error:") == 2
-    forks = _count_forks(monkeypatch)
-    for cpus in (2, 8):
-        assert fan_out_decode(cpus, *options) == alone
-    assert len(forks) == 2  # one child whatever the CPU count
-
-
-def test_fan_out_child_output_past_the_pipe_buffer(toy_paths, fan_out_decode):
-    (toy_paths[2] / "obs.txt").write_text(FAN_OUT_OBS * 1000)
-    alone = fan_out_decode(1, "--variant", "nbest-naive", "--nbest", "all")
-    assert len(alone) > 4 * 65536
-    assert fan_out_decode(2, "--variant", "nbest-naive", "--nbest", "all") == alone
-
-
-def test_decode_forks_only_with_two_cpus_and_two_sequences(toy_paths, fan_out_decode, monkeypatch):
-    alone = fan_out_decode(1)
-    _no_fork(monkeypatch)
-    assert fan_out_decode(1) == alone
-    tmp = toy_paths[2]
-    for text in ("b c d\n", ""):  # one sequence, none
-        (tmp / "obs.txt").write_text(text)
-        assert fan_out_decode(4) == fan_out_decode(1)
-    (tmp / "obs.txt").write_text(FAN_OUT_OBS)
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:  # a fork beside a running thread could deadlock the child
-        assert fan_out_decode(4) == alone
-    finally:
-        stop.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-
-
-def test_decode_forks_only_for_shares_worth_a_fork(toy_paths, fan_out_decode, monkeypatch):
-    tmp = toy_paths[2]
-    auto, _, increments = parse_automaton((tmp / "dawg.auto").read_text())
-    config = parse_config((tmp / "golden.cfg").read_text())
-    lexhmm = expand(auto, increments, make_letter_hmms(auto.letters, config), config)
-    work = sum(len(symbols) for symbols, _ in read_observations(FAN_OUT_OBS)) * lexhmm.n_arcs
-    alone = fan_out_decode(1)
-    forks = _count_forks(monkeypatch)
-    for cpus in (1, 2, 8):
-        for low, worth in ((work // 2, True), (work // 2 + 1, False)):  # each half's work
-            monkeypatch.setattr(cli, "_MIN_SHARE_WORK", low)
-            before = len(forks)
-            assert fan_out_decode(cpus) == alone
-            assert len(forks) - before == (cpus > 1 and worth)
-    monkeypatch.undo()  # the real bound: a toy file is never worth a fork
-    _no_fork(monkeypatch)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    (tmp / "obs.txt").write_text(FAN_OUT_OBS * 20)
-    assert main(["decode", str(tmp / "dawg.auto"), str(tmp / "golden.cfg"), str(tmp / "obs.txt")]) == 0
-
-
-@pytest.mark.parametrize("options, lanes", [
-    ("--variant inplace", True),
-    ("--variant flipflop", True),
-    ("--variant tabular", False),
-    ("--variant nbest-naive --nbest 1", False),
-    ("--variant nbest-improved --nbest 2", False),
-])
-def test_only_sequences_left_out_of_lanes_are_worth_a_fork(toy_paths, fan_out_decode, monkeypatch,
-                                                          options, lanes):
-    # FAN_OUT_OBS holds two valid 3-frame sequences; LANE_MIN - 2 more make
-    # a group that in-place and flip-flop decode together.  For them only
-    # the file's other sequences count as work, and a file they make worth
-    # a fork decodes in two processes, both running the scalar kernel.
-    tmp = toy_paths[2]
-    text = FAN_OUT_OBS + "b c d\n" * (LANE_MIN - 2)
-    (tmp / "obs.txt").write_text(text)
-    auto, _, increments = parse_automaton((tmp / "dawg.auto").read_text())
-    config = parse_config((tmp / "golden.cfg").read_text())
-    lexhmm = expand(auto, increments, make_letter_hmms(auto.letters, config), config)
-    frames = sum(len(symbols) for symbols, _ in read_observations(text))
-    rest = (frames - 3 * LANE_MIN) * lexhmm.n_arcs
-    options = options.split()
-    alone = fan_out_decode(1, *options)
-    assert alone.count("# error:") == 2
-    forks = _count_forks(monkeypatch)
-    for low, worth in ((rest // 2, True), (rest // 2 + 1, not lanes)):  # each half's work
-        monkeypatch.setattr(cli, "_MIN_SHARE_WORK", low)
-        before = len(forks)
-        assert fan_out_decode(2, *options) == alone
-        assert len(forks) - before == worth
-    (tmp / "obs.txt").write_text("b c d\n" * LANE_MIN)  # every sequence in lanes
-    monkeypatch.setattr(cli, "_MIN_SHARE_WORK", 1)
-    before = len(forks)
-    assert fan_out_decode(2, *options) == fan_out_decode(1, *options)
-    assert len(forks) - before == (not lanes)
-
-
-@pytest.mark.parametrize("variant", ["inplace", "nbest-improved"])
-def test_failed_child_share_is_decoded_by_the_parent(fan_out_decode, monkeypatch, variant):
-    alone = fan_out_decode(1, "--variant", variant)
-    parent, table = os.getpid(), VARIANTS if variant in VARIANTS else NBEST_VARIANTS
-    decoder = table[variant]
-
-    def parent_only(*args, **kwargs):
-        if os.getpid() != parent:
-            raise RuntimeError("child")
-        return decoder(*args, **kwargs)
-
-    monkeypatch.setitem(table, variant, parent_only)
-    forks = _count_forks(monkeypatch)
-    assert fan_out_decode(2, "--variant", variant) == alone
-    assert len(forks) == 1
-
-
-def test_failed_fork_share_is_decoded_by_the_parent(fan_out_decode, monkeypatch):
-    def no_process():
-        raise BlockingIOError("fork")
-
-    alone = fan_out_decode(1)
-    monkeypatch.setattr(os, "fork", no_process)
-    assert fan_out_decode(2) == alone
-
-
-def test_exception_in_parent_share_kills_and_reaps_the_child(fan_out_decode, monkeypatch):
-    parent, decoder = os.getpid(), VARIANTS["inplace"]
-
-    def child_hangs(*args):
-        if os.getpid() != parent:
-            time.sleep(60)
-        raise RuntimeError("parent")
-
-    monkeypatch.setitem(VARIANTS, "inplace", child_hangs)
-    start = time.perf_counter()
-    with pytest.raises(RuntimeError, match="parent"):
-        fan_out_decode(2)
-    assert time.perf_counter() - start < 30
-    monkeypatch.setitem(VARIANTS, "inplace", decoder)
-    assert fan_out_decode(2).count("# error:") == 2
-
-
-def test_interrupted_wait_still_reaps_the_child(fan_out_decode, monkeypatch):
-    waitpid, waits = os.waitpid, []
-
-    def interrupted_once(pid, options):
-        waits.append(pid)
-        if len(waits) == 1:
-            raise KeyboardInterrupt
-        return waitpid(pid, options)
-
-    monkeypatch.setattr(os, "waitpid", interrupted_once)
-    with pytest.raises(KeyboardInterrupt):
-        fan_out_decode(2)
-    assert waits[0] == waits[1] > 0  # the child's wait is retried in the cleanup
-
-
-def test_child_out_of_memory_fails_in_the_parent_with_one_error_line(
-    toy_paths, fan_out_decode, monkeypatch, capsys
-):
-    # fan_out_decode writes the input files and makes every half worth a fork
-    tmp, parent, decoder = toy_paths[2], os.getpid(), VARIANTS["tabular"]
-    children = tmp / "children.txt"
-
-    def short_of_memory(lexhmm, symbols):
-        if " ".join(symbols) != "b b c":
-            return decoder(lexhmm, symbols)
-        if os.getpid() != parent:
-            children.write_text("b b c\n")
-        raise MemoryError
-
-    monkeypatch.setitem(VARIANTS, "tabular", short_of_memory)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    forks = _count_forks(monkeypatch)
-    argv = ["decode", str(tmp / "dawg.auto"), str(tmp / "golden.cfg"), str(tmp / "obs.txt")]
-    assert main([*argv, "--variant", "tabular"]) == 2
-    assert len(forks) == 1 and children.read_text() == "b b c\n"
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    err = capsys.readouterr().err
-    assert re.fullmatch(
-        r"error: out of memory decoding a 3-frame sequence with --variant tabular: "
-        r"tabular holds N x T = \d+ x 3 token slots\n", err)
+    assert main(["decode", str(auto), str(config), str(obs), "--variant", variant]) == 0
+    assert capsys.readouterr().out.count("# ops=") == 3000
 
 
 def _flcva(argv: list, **kwargs) -> subprocess.Popen:
@@ -980,7 +769,7 @@ def _address_space_100_mb() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (100 << 20, 100 << 20))
 
 
-@pytest.mark.parametrize("before", ["", "b c d\n"], ids=["alone", "in-the-child-half"])
+@pytest.mark.parametrize("before", ["", "b c d\n"], ids=["alone", "after-a-sequence"])
 def test_out_of_memory_exits_2_with_one_error_line(toy_paths, before):
     wordlist, config, tmp = toy_paths
     auto, obs, frames = tmp / "dawg.auto", tmp / "obs.txt", 500_000

@@ -1027,6 +1027,26 @@ def test_lane_chunks_hold_at_most_lane_bits_a_token_array(toy_lexhmm_onehot, mon
         assert [len(chunk) for chunk in lane_chunks(lexhmm, sequences)] == sizes
 
 
+def test_lane_chunks_give_tabular_fewer_lanes_past_lane_bits(toy_lexhmm_onehot, monkeypatch):
+    # LANE_BITS counts every token array of a decode: T + 1 for tabular's
+    # lattice, 2 for flip-flop and 1 for in-place.  At T = 3 a budget of
+    # four arrays of LANE_CAP lanes fits them all; one bit less cuts
+    # tabular's group in two.
+    lexhmm, _cfg, _hmms = toy_lexhmm_onehot
+    sequences = [list("bcd")] * LANE_CAP
+    lane_bits = 8 * _lane_shape(lexhmm, 3)[1] * lexhmm.n_states
+    for budget, tabular in ((4 * LANE_CAP * lane_bits, [LANE_CAP]),
+                            (4 * LANE_CAP * lane_bits - 1, [LANE_CAP // 2] * 2)):
+        monkeypatch.setattr("flcva.decode.LANE_BITS", budget)
+        sizes = {variant: [len(chunk) for chunk in lane_chunks(lexhmm, sequences, arrays)]
+                 for variant, arrays in LANE_VARIANTS.items()}
+        assert sizes == {"tabular": tabular, "flipflop": [LANE_CAP], "inplace": [LANE_CAP]}
+        calls = _lane_calls(monkeypatch)
+        results = list(decode_file(lexhmm, sequences, partial(VARIANTS["tabular"], lexhmm), 0))
+        assert calls == tabular
+        assert results == _one_by_one(lexhmm, sequences, "tabular")
+
+
 def test_a_sequence_with_an_unknown_symbol_joins_no_group(toy_lexhmm_onehot, monkeypatch):
     lexhmm, _cfg, _hmms = toy_lexhmm_onehot
     decode = partial(viterbi_inplace, lexhmm, window=True)
@@ -1054,7 +1074,7 @@ def test_lanes_shorter_than_every_word_rank_nothing(toy_annotated, monkeypatch):
         results = list(decode_file(lexhmm, sequences, partial(VARIANTS[variant], lexhmm), arrays))
         assert _blocks(results) == _blocks(_one_by_one(lexhmm, sequences, variant))
         assert all(r.ranking == [] and format_result(r).startswith("# ops=") for r in results)
-    assert calls == [LANE_MIN, LANE_MIN]
+    assert calls == [LANE_MIN] * len(LANE_VARIANTS)
 
 
 def test_empty_sequences_join_no_group(toy_lexhmm_onehot, monkeypatch):
@@ -1065,4 +1085,4 @@ def test_empty_sequences_join_no_group(toy_lexhmm_onehot, monkeypatch):
         results = list(decode_file(lexhmm, sequences, partial(VARIANTS[variant], lexhmm), arrays))
         assert results == _one_by_one(lexhmm, sequences, variant)
         assert results[0] == DecodeResult(token_slots=arrays * lexhmm.n_states)
-    assert calls == [LANE_MIN, LANE_MIN]
+    assert calls == [LANE_MIN] * len(LANE_VARIANTS)
