@@ -995,11 +995,13 @@ def _lane_calls(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("count, chunks", [
-    (LANE_MIN - 1, []),
-    (LANE_MIN, [LANE_MIN]),
+    (LANE_MIN + 1, [LANE_MIN + 1]),
+    (LANE_MIN + 2, [LANE_MIN + 2]),
     (LANE_CAP, [LANE_CAP]),
     (LANE_CAP + 1, [LANE_CAP // 2, LANE_CAP // 2 + 1]),
     (3 * LANE_CAP + 1, None),
+    (LANE_MIN - 1, []),
+    (LANE_MIN, [LANE_MIN]),
 ])
 def test_lane_chunks_cut_a_group_into_near_equal_chunks(toy_lexhmm_onehot, monkeypatch, count, chunks):
     lexhmm, _cfg, _hmms = toy_lexhmm_onehot
